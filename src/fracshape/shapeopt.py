@@ -18,7 +18,8 @@ from .errors import DomainEmptyError, ParameterError, StructuralError
 from .forms import StiffnessOperator, assemble_stiffness
 from .grid import DomainMask, Grid, GridFunction, l2_distance, mask_from_indices
 from .solvers import (DirichletOperator, TorsionFunction, eigenpairs,
-                      resolvent_norm_diff, restrict, solve_torsion)
+                      eigenvalues_or_inf, resolvent_norm_diff, restrict,
+                      solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
@@ -97,15 +98,9 @@ def _eval_node(node, lam: np.ndarray) -> float:
 
 def eval_functional(spec: FunctionalSpec, base: StiffnessOperator,
                     mask: DomainMask) -> float:
-    """J(mask) = combiner(lambda_1..lambda_k); +inf on the empty mask."""
-    if mask.is_empty:
-        return float("inf")
-    op = restrict(base, mask)
-    kk = min(spec.k, op.n_active)
-    lam = eigenpairs(op, kk).eigenvalues
-    if kk < spec.k:
-        lam = np.concatenate([lam, np.full(spec.k - kk, np.inf)])
-    return float(_eval_node(spec._tree.body, lam))
+    """J(mask) = combiner(lambda_1..lambda_k), with lambda_j = +inf beyond the
+    mask's cell count (all of them on the empty mask)."""
+    return float(_eval_node(spec._tree.body, eigenvalues_or_inf(base, mask, spec.k)))
 
 
 # --- geometry helpers ---------------------------------------------------------

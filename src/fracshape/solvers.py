@@ -5,9 +5,10 @@ on active cells; couplings to inactive cells stay in the diagonal (they
 contribute k_ij u_i^2 because u_j = 0 there), so the restriction is always
 strictly positive definite.
 
-Linear systems are solved by diagonally preconditioned conjugate gradients;
-eigenpairs by block Krylov iteration on the inverse (via a cached Cholesky
-factor) with full reorthogonalization and Rayleigh-Ritz extraction.
+Everything here is dense LAPACK on the restricted matrix: linear systems go
+through its cached Cholesky factor, eigenpairs through a subset `eigh`, and
+resolvent-difference norms through `eigvalsh` of the symmetric difference.
+Each result is checked against a residual tolerance.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator
 from .grid import DomainMask, GridFunction, l2_distance
 
-EIG_SEED = 0x5EED
-CG_RTOL = 1e-10
+SOLVE_RTOL = 1e-10
 EIG_RTOL = 1e-8
+DUALITY_SEED = 0x5EED   # fixed test function of the duality identity
 
 
 @dataclass
@@ -94,42 +95,23 @@ class Spectrum:
     residuals: np.ndarray
 
 
-def _pcg(matrix: np.ndarray, b: np.ndarray, rtol: float, maxiter: int) -> tuple:
-    """Diagonally preconditioned conjugate gradients for SPD systems."""
-    diag = np.diag(matrix)
-    x = np.zeros_like(b)
-    r = b.copy()
+def _checked_solve(op: DirichletOperator, b: np.ndarray) -> tuple:
+    """Solve A x = b by the cached factor; also return ||A x - b|| / ||b||."""
+    x = op.solve(b)
     norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return x, 0.0
-    z = r / diag
-    p = z.copy()
-    rz = r @ z
-    for _ in range(maxiter):
-        if np.linalg.norm(r) <= rtol * norm_b:
-            break
-        ap = matrix @ p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        z = r / diag
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    residual = np.linalg.norm(matrix @ x - b) / norm_b
-    if residual > rtol:
+    residual = np.linalg.norm(op.matrix() @ x - b) / norm_b if norm_b > 0 else 0.0
+    if residual > SOLVE_RTOL:
         raise NumericError(
-            f"conjugate gradients stalled at relative residual {residual:.3e}",
-            achieved=residual,
+            f"direct solve missed the residual tolerance: {residual:.3e}",
+            achieved=float(residual),
         )
     return x, float(residual)
 
 
 def solve_torsion(op: DirichletOperator) -> TorsionFunction:
     """Solve A w = h^dim on the mask; w >= 0 by the discrete maximum principle."""
-    h_meas = op.grid.cell_volume
-    b = np.full(op.n_active, h_meas)
-    x, residual = _pcg(op.matrix(), b, CG_RTOL, 10 * max(op.n_active, 10))
+    b = np.full(op.n_active, op.grid.cell_volume)
+    x, residual = _checked_solve(op, b)
     return TorsionFunction(mask=op.mask, values=op.scatter(x), residual=residual)
 
 
@@ -138,7 +120,7 @@ def apply_resolvent(op: DirichletOperator, f: GridFunction) -> GridFunction:
     if f.grid != op.grid:
         raise StructuralError("f and operator live on different grids")
     b = op.grid.cell_volume * f.values[op.active_index]
-    x, _ = _pcg(op.matrix(), b, CG_RTOL, 10 * max(op.n_active, 10))
+    x, _ = _checked_solve(op, b)
     return op.scatter(x)
 
 
@@ -148,62 +130,28 @@ def _sign_normalize(vec: np.ndarray) -> np.ndarray:
 
 
 def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
-    """Smallest k eigenpairs of A u = lambda h^dim u on the mask.
+    """Smallest k eigenpairs of A u = lambda h^dim u on the mask, ascending.
 
-    Block Krylov iteration on the inverse with full reorthogonalization and
-    Rayleigh-Ritz extraction; deterministic starting block (seed 0x5eed).
+    Eigenfunctions are normalized in the h^dim-weighted L2 inner product,
+    with the entry of largest modulus made positive.  Residuals are
+    ||A v - lambda v|| / |lambda| for A scaled by h^-dim.
     """
     n = op.n_active
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     h_meas = op.grid.cell_volume
     a_mat = op.matrix() / h_meas
-    rng = np.random.default_rng(EIG_SEED)
-    block = min(k + 2, n)
-    basis = np.linalg.qr(rng.standard_normal((n, block)))[0]
-    frames = [basis]
-    vals = vecs = residuals = None
-    max_rounds = -(-n // block) + 2
-    for _ in range(max_rounds):
-        z = np.column_stack(frames)
-        # Rayleigh-Ritz on the current subspace
-        h_proj = z.T @ a_mat @ z
-        h_proj = 0.5 * (h_proj + h_proj.T)
-        theta, y = eigh(h_proj)
-        ritz = z @ y[:, :k]
-        vals = theta[:k]
-        res = np.linalg.norm(a_mat @ ritz - ritz * vals, axis=0)
-        residuals = res / np.abs(vals)
-        if np.all(residuals <= EIG_RTOL):
-            vecs = ritz
-            break
-        # extend the Krylov space with A^{-1} applied to the newest frame
-        w = op.solve(frames[-1]) * h_meas
-        for f in frames:  # full reorthogonalization, twice for stability
-            w -= f @ (f.T @ w)
-        for f in frames:
-            w -= f @ (f.T @ w)
-        q, r = np.linalg.qr(w)
-        keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-        if not np.any(keep):
-            vecs = ritz
-            break
-        frames.append(q[:, keep])
-    if vecs is None or np.any(residuals > EIG_RTOL):
-        raise NumericError(
-            "eigensolver missed the residual tolerance",
-            achieved=float(np.max(residuals)) if residuals is not None else None,
-        )
-    # normalize in the h^dim-weighted L2 inner product, fix signs
-    funcs = []
-    for j in range(k):
-        v = vecs[:, j] / np.sqrt(h_meas * (vecs[:, j] @ vecs[:, j]))
-        funcs.append(op.scatter(_sign_normalize(v)))
-    order = np.argsort(vals)
+    vals, vecs = eigh(a_mat, subset_by_index=[0, k - 1])
+    residuals = np.linalg.norm(a_mat @ vecs - vecs * vals, axis=0) / np.abs(vals)
+    if np.any(residuals > EIG_RTOL):
+        raise NumericError("eigensolver missed the residual tolerance",
+                           achieved=float(np.max(residuals)))
+    # eigh returns unit vectors: rescale to unit h^dim-weighted L2 norm
+    vecs = vecs / np.sqrt(h_meas)
     return Spectrum(
-        eigenvalues=np.asarray(vals)[order],
-        eigenfunctions=[funcs[j] for j in order],
-        residuals=np.asarray(residuals)[order],
+        eigenvalues=vals,
+        eigenfunctions=[op.scatter(_sign_normalize(vecs[:, j])) for j in range(k)],
+        residuals=residuals,
     )
 
 
@@ -233,12 +181,11 @@ def _dense_resolvent(op: DirichletOperator | None, indices: np.ndarray) -> np.nd
 
 
 def resolvent_norm_diff(op_a: DirichletOperator | None,
-                        op_b: DirichletOperator | None,
-                        rtol: float = 1e-8, maxiter: int = 20000) -> float:
+                        op_b: DirichletOperator | None) -> float:
     """Operator norm of R_A - R_B on L2 of the full grid.
 
-    Either operator may be None (the empty set; null resolvent).  Power
-    iteration on (R_A - R_B)^2 with a deterministic start.
+    Either operator may be None (the empty set; null resolvent).  The
+    difference is symmetric, so its norm is its largest |eigenvalue|.
     """
     if op_a is None and op_b is None:
         return 0.0
@@ -252,25 +199,7 @@ def resolvent_norm_diff(op_a: DirichletOperator | None,
     )
     indices = np.asarray(union, dtype=int)
     d = _dense_resolvent(op_a, indices) - _dense_resolvent(op_b, indices)
-    scale = np.abs(d).max()
-    if scale == 0.0:
-        return 0.0
-    rng = np.random.default_rng(EIG_SEED)
-    v = rng.standard_normal(indices.size)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(maxiter):
-        w = d @ (d @ v)
-        new_est = np.sqrt(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(new_est - est) <= rtol * max(new_est, 1e-300):
-            return float(new_est)
-        est = new_est
-    raise NumericError("power iteration for the resolvent norm stagnated",
-                       achieved=float(est))
+    return float(np.abs(eigvalsh(d)).max())
 
 
 @dataclass(frozen=True)
@@ -286,7 +215,8 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
     """Compare the resolvent gap with the torsion L2 distance on nested masks.
 
     Also checks the duality identity int(R_A f - R_B f) = int f (w_A - w_B)
-    for f = 1, with both sides computed from independent solves.
+    for a fixed non-constant f (seeded), with resolvents and torsion
+    functions from separate solves.
     """
     if not op_b.mask.is_subset_of(op_a.mask):
         raise StructuralError("second operator's mask must be nested in the first")
@@ -295,12 +225,13 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
     w_b = solve_torsion(op_b).values
     rhs = l2_distance(w_a, w_b)
     grid = op_a.grid
-    ones = GridFunction(grid, np.ones(grid.n_cells))
-    r_a = apply_resolvent(op_a, ones)
-    r_b = apply_resolvent(op_b, ones)
+    rng = np.random.default_rng(DUALITY_SEED)
+    f = GridFunction(grid, rng.standard_normal(grid.n_cells))
+    r_a = apply_resolvent(op_a, f)
+    r_b = apply_resolvent(op_b, f)
     meas = grid.cell_volume
     left = meas * np.sum(r_a.values - r_b.values)
-    right = meas * np.sum(w_a.values - w_b.values)
+    right = meas * (f.values @ (w_a.values - w_b.values))
     constant = lhs / rhs if rhs > 0 else 0.0
     return ResolventTorsionReport(lhs=lhs, rhs=rhs, constant=constant,
                                   duality_residual=float(abs(left - right)))
@@ -325,12 +256,13 @@ def poincare_constant(op: DirichletOperator) -> float:
     return float(1.0 / np.sqrt(eigenpairs(op, 1).eigenvalues[0]))
 
 
-def capacity_estimate(base: StiffnessOperator, mask: DomainMask,
-                      max_steps: int = 200_000) -> float:
+def capacity_estimate(base: StiffnessOperator, mask: DomainMask) -> float:
     """Discrete capacity: minimize the Gagliardo form over u >= 1 on the mask.
 
-    Projected gradient descent with fixed step 1/(2 max_i d_i); returns the
-    final energy (an upper bound of the true discrete minimum).
+    The minimizer is u = 1 on the mask and its discrete-harmonic extension
+    off it.  This is exact because A is a Stieltjes matrix: the extension
+    lies in [0, 1], so (A u)_i >= rho_i > 0 on the mask and u satisfies the
+    KKT conditions of the constrained problem.
     """
     if mask.grid != base.grid:
         raise StructuralError("mask and operator live on different grids")
@@ -347,18 +279,8 @@ def capacity_estimate(base: StiffnessOperator, mask: DomainMask,
             "mask must keep at least one cell of margin to the box boundary"
         )
     a_mat = base.matrix()
-    step = 1.0 / (2.0 * np.max(np.diag(a_mat)))
-    u = mask.cells.astype(float)
-    active = mask.cells
-    energy = u @ (a_mat @ u)
-    window_ref = energy
-    for it in range(1, max_steps + 1):
-        u = u - step * 2.0 * (a_mat @ u)
-        u[active] = np.maximum(u[active], 1.0)
-        if it % 100 == 0:
-            energy = u @ (a_mat @ u)
-            if window_ref - energy < 1e-10 * max(window_ref, 1e-300):
-                return float(energy)
-            window_ref = energy
-    raise NumericError("capacity projected-gradient budget exceeded",
-                       achieved=float(u @ (a_mat @ u)))
+    on, off = mask.cells, ~mask.cells
+    u = np.ones(grid.n_cells)
+    u[off] = cho_solve(cho_factor(a_mat[np.ix_(off, off)]),
+                       -a_mat[np.ix_(off, on)].sum(axis=1))
+    return float(u @ (a_mat @ u))

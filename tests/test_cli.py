@@ -132,11 +132,13 @@ def test_run_lieb(tmp_path):
 
 
 def test_run_audit_passes(tmp_path):
-    cfg = {"seeds": [0], "checks": ["stiffness_symmetry", "torsion_nonnegative",
-                                    "empty_set_conventions"]}
+    # seed 4 draws a mask with lambda_1 close to lambda_2 (21.76, 22.04), where
+    # an iterative estimate of the resolvent norm 1/lambda_1 converges slowly
+    cfg = {"seeds": [0, 4], "checks": ["stiffness_symmetry", "torsion_nonnegative",
+                                       "empty_set_conventions"]}
     run_experiment("audit", cfg, tmp_path)
     lines = (tmp_path / "audit.csv").read_text().splitlines()[1:]
-    assert len(lines) == 3
+    assert len(lines) == 6
     assert all(line.split(",")[2] == "1" for line in lines)
 
 

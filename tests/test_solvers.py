@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
-from fracshape.errors import (DomainEmptyError, ParameterError,
+from fracshape import solvers
+from fracshape.errors import (DomainEmptyError, NumericError, ParameterError,
                               StructuralError)
 from fracshape.forms import assemble_stiffness
 from fracshape.grid import (GridFunction, build_grid, empty_mask, full_mask,
                             mask_from_indices)
-from fracshape.solvers import (alpha_exponent_fit, apply_resolvent,
-                               capacity_estimate, eigenpairs,
+from fracshape.solvers import (DirichletOperator, alpha_exponent_fit,
+                               apply_resolvent, capacity_estimate, eigenpairs,
                                eigenvalues_or_inf, poincare_constant,
                                resolvent_norm_diff, restrict, solve_torsion,
                                torsion_resolvent_bound_check)
@@ -51,7 +54,8 @@ def test_restriction_is_principal_submatrix(base_64):
     assert np.allclose(op.matrix(), sub, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("indices", [range(20, 52), [3, 7, 8, 9, 30, 31, 55]])
+@pytest.mark.parametrize("indices", [range(20, 52), [3, 7, 8, 9, 30, 31, 55],
+                                     [1, 2]])
 def test_eigenpairs_match_dense_oracle(base_64, indices):
     mask = mask_from_indices(base_64.grid, indices)
     op = restrict(base_64, mask)
@@ -74,6 +78,20 @@ def test_eigenpairs_2d_against_dense(base_2d):
     spec = eigenpairs(op, 3)
     w = eigh(op.matrix() / g.cell_volume, eigvals_only=True)
     assert np.allclose(spec.eigenvalues, w[:3], rtol=1e-9)
+
+
+def test_eigenpairs_degenerate_pair_full_square(base_2d):
+    # the square's symmetry makes lambda_2 = lambda_3: any orthonormal basis of
+    # that eigenspace is a valid answer, so check the basis, not the vectors
+    g = base_2d.grid
+    op = restrict(base_2d, full_mask(g))
+    spec = eigenpairs(op, 4)
+    w = eigvalsh(base_2d.matrix() / g.cell_volume)
+    assert np.allclose(spec.eigenvalues, w[:4], rtol=1e-12, atol=0)
+    assert spec.eigenvalues[2] - spec.eigenvalues[1] < 1e-10 * spec.eigenvalues[1]
+    vecs = np.column_stack([f.values for f in spec.eigenfunctions])
+    gram = g.cell_volume * vecs.T @ vecs
+    assert np.abs(gram - np.eye(4)).max() < 1e-12
 
 
 def test_first_eigenfunction_nonnegative(base_64):
@@ -144,6 +162,26 @@ def test_apply_resolvent_against_direct(base_64):
     assert np.abs(u.values[op.active_index] - direct).max() < 1e-10
 
 
+def test_residual_checks_can_fail(base_64, monkeypatch):
+    # answers off by 1e-6 relative must miss SOLVE_RTOL and EIG_RTOL
+    op = restrict(base_64, mask_from_indices(base_64.grid, range(20, 44)))
+    exact_solve, exact_eigh = DirichletOperator.solve, solvers.eigh
+
+    def bad_solve(self, rhs):
+        return (1 + 1e-6) * exact_solve(self, rhs)
+
+    def bad_eigh(a, **kw):
+        vals, vecs = exact_eigh(a, **kw)
+        return (1 + 1e-6) * vals, vecs
+
+    monkeypatch.setattr(DirichletOperator, "solve", bad_solve)
+    with pytest.raises(NumericError):
+        solve_torsion(op)
+    monkeypatch.setattr(solvers, "eigh", bad_eigh)
+    with pytest.raises(NumericError):
+        eigenpairs(op, 2)
+
+
 def test_resolvent_norm_diff_vs_empty(base_64):
     mask = mask_from_indices(base_64.grid, range(20, 44))
     op = restrict(base_64, mask)
@@ -175,6 +213,23 @@ def test_bound_check_duality_and_nesting(base_64):
     assert rep.lhs >= 0 and rep.rhs >= 0
     with pytest.raises(StructuralError):
         torsion_resolvent_bound_check(inner, outer)
+
+
+def test_bound_check_duality_negative_control(base_64, monkeypatch):
+    # one torsion function off by 1e-6 relative must break the identity
+    g = base_64.grid
+    outer = restrict(base_64, mask_from_indices(g, range(12, 52)))
+    inner = restrict(base_64, mask_from_indices(g, range(12, 51)))
+    exact = solvers.solve_torsion
+
+    def corrupted(op):
+        tor = exact(op)
+        if op is not inner:
+            return tor
+        return replace(tor, values=GridFunction(g, tor.values.values * (1 + 1e-6)))
+
+    monkeypatch.setattr(solvers, "solve_torsion", corrupted)
+    assert torsion_resolvent_bound_check(outer, inner).duality_residual > 1e-8
 
 
 def test_shrinking_family_co_trend(base_64):
