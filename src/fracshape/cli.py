@@ -4,6 +4,10 @@ Subcommands: grid, eig, torsion, two-ball, minimize, classify, lieb, audit.
 Every run writes its artifacts plus a manifest (config echo, versions, wall
 time, seed list, per-file sha256) into the output directory.  Identical
 configs produce byte-identical artifact files.
+
+Every subcommand except `grid` assembles the dense stiffness matrix, so its
+grid may have at most forms.MAX_DENSE_CELLS (4,096) cells; validation
+rejects a larger one before any work starts or any directory is created.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import audit as audit_mod
 from . import concentration as cc
 from . import shapeopt
 from .errors import FracshapeError, ParameterError
-from .forms import assemble_stiffness
+from .forms import MAX_DENSE_CELLS, assemble_stiffness
 from .grid import (DomainMask, build_grid, full_mask, grid_to_json,
                    mask_from_indices, mask_to_json)
 from .serialize import write_csv, write_json, write_manifest
@@ -70,7 +74,10 @@ def validate_config(kind: str, config: dict) -> dict:
         for f in ("dim", "half_width", "resolution"):
             if f not in g:
                 _fail(f"grid.{f}", "missing")
-        build_grid(g["dim"], g["half_width"], g["resolution"])
+        grid = build_grid(g["dim"], g["half_width"], g["resolution"])
+        if kind != "grid" and grid.n_cells > MAX_DENSE_CELLS:
+            _fail("grid", f"{grid.n_cells} cells, over the dense-assembly "
+                          f"budget of {MAX_DENSE_CELLS}")
     if "s" in config and not (isinstance(config["s"], (int, float))
                               and 0 < config["s"] < 1):
         _fail("s", f"must lie in (0, 1), got {config['s']}")
@@ -110,16 +117,16 @@ def _build_mask(grid, spec) -> DomainMask:
 
 # --- subcommand runners --------------------------------------------------------
 
-def _run_grid(config, out):
+def _run_grid(config, out, seeds):
     grid = build_grid(**config["grid"])
     write_json(out / "grid.json", grid_to_json(grid))
     rows = [(i,) + tuple(c) for i, c in enumerate(grid.cell_centers)]
     header = ["cell_index"] + [f"x{a}" for a in range(grid.dim)]
     write_csv(out / "centers.csv", header, rows)
-    return [out / "grid.json", out / "centers.csv"], []
+    return [out / "grid.json", out / "centers.csv"]
 
 
-def _run_eig(config, out, seed_override):
+def _run_eig(config, out, seeds):
     grid = build_grid(**config["grid"])
     base = assemble_stiffness(grid, config["s"])
     mask = _build_mask(grid, config["mask"])
@@ -133,10 +140,10 @@ def _run_eig(config, out, seed_override):
         path = out / f"eigenfunction_{j}.csv"
         write_csv(path, ["cell_index", "value"], list(enumerate(ef.values)))
         files.append(path)
-    return files, []
+    return files
 
 
-def _run_torsion(config, out, seed_override):
+def _run_torsion(config, out, seeds):
     grid = build_grid(**config["grid"])
     base = assemble_stiffness(grid, config["s"])
     mask = _build_mask(grid, config["mask"])
@@ -145,10 +152,10 @@ def _run_torsion(config, out, seed_override):
                                       "mask": mask_to_json(mask)})
     write_csv(out / "torsion.csv", ["cell_index", "value"],
               list(enumerate(tor.values.values)))
-    return [out / "torsion.json", out / "torsion.csv"], []
+    return [out / "torsion.json", out / "torsion.csv"]
 
 
-def _run_two_ball(config, out):
+def _run_two_ball(config, out, seeds):
     grid = build_grid(**config["grid"])
     h = grid.h
     rows = shapeopt.two_ball_experiment(
@@ -156,7 +163,7 @@ def _run_two_ball(config, out):
         [d * h for d in config["distances_cells"]])
     header = ["d", "lambda1_union", "lambda2_union", "lambda1_half_ball", "gap"]
     write_csv(out / "table.csv", header, [[r[k] for k in header] for r in rows])
-    return [out / "table.csv"], []
+    return [out / "table.csv"]
 
 
 def _run_minimize(config, out, seeds):
@@ -185,7 +192,7 @@ def _run_minimize(config, out, seeds):
             "component_volumes": report.component_volumes,
         })
         files.append(out / f"summary_seed{seed}.json")
-    return files, seeds
+    return files
 
 
 def _run_classify(config, out, seeds):
@@ -205,7 +212,7 @@ def _run_classify(config, out, seeds):
             "thresholds": rep.thresholds,
         })
         files.append(out / f"report_seed{seed}.json")
-    return files, seeds
+    return files
 
 
 def _run_lieb(config, out, seeds):
@@ -233,7 +240,7 @@ def _run_lieb(config, out, seeds):
         "trials": len(rows),
         "satisfied": int(sum(r[5] for r in rows)),
     })
-    return [out / "results.csv", out / "summary.json"], seeds
+    return [out / "results.csv", out / "summary.json"]
 
 
 def _run_audit(config, out, seeds):
@@ -251,7 +258,19 @@ def _run_audit(config, out, seeds):
     if not all_passed:
         failed = sorted({r[1] for r in results if not r[2]})
         raise FracshapeError(f"audit failed: {', '.join(failed)}")
-    return [out / "audit.csv", out / "summary.json"], seeds
+    return [out / "audit.csv", out / "summary.json"]
+
+
+_RUNNERS = {
+    "grid": _run_grid,
+    "eig": _run_eig,
+    "torsion": _run_torsion,
+    "two-ball": _run_two_ball,
+    "minimize": _run_minimize,
+    "classify": _run_classify,
+    "lieb": _run_lieb,
+    "audit": _run_audit,
+}
 
 
 def run_experiment(kind: str, config: dict, out_dir, seed_override=None) -> dict:
@@ -262,24 +281,9 @@ def run_experiment(kind: str, config: dict, out_dir, seed_override=None) -> dict
     seeds = [seed_override] if seed_override is not None else \
         config.get("seeds", [0])
     start = time.perf_counter()
-    if kind == "grid":
-        files, used = _run_grid(config, out)
-    elif kind == "eig":
-        files, used = _run_eig(config, out, seed_override)
-    elif kind == "torsion":
-        files, used = _run_torsion(config, out, seed_override)
-    elif kind == "two-ball":
-        files, used = _run_two_ball(config, out)
-    elif kind == "minimize":
-        files, used = _run_minimize(config, out, seeds)
-    elif kind == "classify":
-        files, used = _run_classify(config, out, seeds)
-    elif kind == "lieb":
-        files, used = _run_lieb(config, out, seeds)
-    else:
-        files, used = _run_audit(config, out, seeds)
+    files = _RUNNERS[kind](config, out, seeds)
     wall = time.perf_counter() - start
-    manifest = write_manifest(out, config, used or seeds, wall, files)
+    manifest = write_manifest(out, config, seeds, wall, files)
     return {"manifest": manifest, "files": files}
 
 
@@ -291,7 +295,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in _SCHEMAS:
-        p = sub.add_parser(kind if kind != "audit" else "audit")
+        p = sub.add_parser(kind)
         p.add_argument("--config", required=(kind != "audit"))
         p.add_argument("--out", required=False, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -303,10 +307,7 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        if args.config:
-            config = json.loads(Path(args.config).read_text())
-        else:
-            config = {}
+        config = json.loads(Path(args.config).read_text()) if args.config else {}
         if args.out is None:
             raise ParameterError("config field 'out': --out directory required")
         bundle = run_experiment(args.kind, config, args.out, args.seed)

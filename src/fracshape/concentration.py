@@ -8,13 +8,16 @@ and an exhaustive translation search for the intersection eigenvalue bound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator, gagliardo_sq, weighted_gagliardo_sq
-from .grid import DomainMask, Grid, GridFunction, build_grid, mask_from_indices
+from .grid import (DomainMask, Grid, GridFunction, build_grid, distances_from,
+                   mask_from_indices)
 from .solvers import eigenpairs, restrict
 
 PLATEAU_SLOPE = 0.02    # relative slope threshold for plateau rungs
@@ -65,6 +68,27 @@ class SplitPair:
     seminorm_defect: float
 
 
+def _ball_masses(grid: Grid, u: GridFunction, radii) -> np.ndarray:
+    """(len(radii), n_cells) L2 mass of u inside the ball of each radius
+    around each cell center."""
+    density = grid.cell_volume * u.values ** 2
+    centers = grid.cell_centers
+    if grid.dim == 1:
+        # balls are contiguous windows; prefix sums give every center at once
+        prefix = np.concatenate([[0.0], np.cumsum(density)])
+        x = centers[:, 0]
+        return np.array([prefix[np.searchsorted(x, x + r, side="right")]
+                         - prefix[np.searchsorted(x, x - r, side="left")]
+                         for r in radii])
+    out = np.empty((len(radii), centers.shape[0]))
+    for start in range(0, centers.shape[0], 512):
+        block = centers[start:start + 512]
+        d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        for j, r in enumerate(radii):
+            out[j, start:start + 512] = (d2 <= r * r) @ density
+    return out
+
+
 def concentration_profile(grid: Grid, u: GridFunction, radii) -> list:
     """sup over cell centers y of the L2 mass inside the ball of radius R at y.
 
@@ -75,50 +99,7 @@ def concentration_profile(grid: Grid, u: GridFunction, radii) -> list:
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParameterError("radii must be positive and ascending")
-    meas = grid.cell_volume
-    density = meas * u.values ** 2
-    out = []
-    if grid.dim == 1:
-        # balls are contiguous windows; prefix sums give every center at once
-        prefix = np.concatenate([[0.0], np.cumsum(density)])
-        x = grid.cell_centers[:, 0]
-        for r in radii:
-            lo = np.searchsorted(x, x - r, side="left")
-            hi = np.searchsorted(x, x + r, side="right")
-            out.append(float(np.max(prefix[hi] - prefix[lo])))
-    else:
-        centers = grid.cell_centers
-        for r in radii:
-            best = 0.0
-            r2 = r * r
-            for start in range(0, centers.shape[0], 512):
-                block = centers[start:start + 512]
-                d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-                best = max(best, float(np.max((d2 <= r2) @ density)))
-            out.append(best)
-    return out
-
-
-def _best_center(grid: Grid, u: GridFunction, r: float) -> np.ndarray:
-    """Cell center whose radius-r ball captures the most L2 mass."""
-    density = grid.cell_volume * u.values ** 2
-    centers = grid.cell_centers
-    if grid.dim == 1:
-        x = centers[:, 0]
-        prefix = np.concatenate([[0.0], np.cumsum(density)])
-        lo = np.searchsorted(x, x - r, side="left")
-        hi = np.searchsorted(x, x + r, side="right")
-        return centers[int(np.argmax(prefix[hi] - prefix[lo]))].copy()
-    best_val, best_idx = -1.0, 0
-    r2 = r * r
-    for start in range(0, centers.shape[0], 512):
-        block = centers[start:start + 512]
-        d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        vals = (d2 <= r2) @ density
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_idx = float(vals[j]), start + j
-    return centers[best_idx].copy()
+    return _ball_masses(grid, u, radii).max(axis=1).tolist()
 
 
 def _radius_ladder(seq: FunctionSequence) -> list:
@@ -163,7 +144,8 @@ def classify(seq: FunctionSequence, epsilon: float) -> TrichotomyReport:
     if not (0 < epsilon < lam / 4):
         raise ParameterError(f"epsilon must lie in (0, mass_limit/4), got {epsilon}")
     radii = _radius_ladder(seq)
-    profiles = [concentration_profile(u.grid, u, radii) for u in seq.entries]
+    masses = [_ball_masses(u.grid, u, radii) for u in seq.entries]
+    profiles = [m.max(axis=1).tolist() for m in masses]
     tail_start = n - max(2, n // TAIL_FRACTION)
     tail = range(tail_start, n)
     # the vanishing test only sees rungs inside the first box; larger
@@ -180,9 +162,11 @@ def classify(seq: FunctionSequence, epsilon: float) -> TrichotomyReport:
 
     # compactness needs a fixed R* at the initial scale; rungs beyond the
     # first box would trivially capture everything in a bounded run
-    for j, r in enumerate(radii[:n_base]):
+    for j in range(n_base):
         if all(profiles[i][j] >= lam - epsilon for i in tail):
-            centers = [_best_center(seq.entries[i].grid, seq.entries[i], r) for i in tail]
+            # per tail entry, the cell center whose rung-j ball holds the most mass
+            centers = [seq.entries[i].grid.cell_centers[int(np.argmax(masses[i][j]))]
+                       for i in tail]
             return TrichotomyReport("compactness", centers, None, evidence, thresholds)
 
     widths, levels = [], []
@@ -235,13 +219,6 @@ def make_cutoffs(R: float):
     return RadialCutoff(float(R), "inner"), RadialCutoff(float(R), "outer")
 
 
-def _radii_from(grid: Grid, center) -> np.ndarray:
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (grid.dim,):
-        raise ParameterError(f"center must have {grid.dim} components")
-    return np.sqrt(((grid.cell_centers - center) ** 2).sum(axis=1))
-
-
 def cutoff_defect(op: StiffnessOperator, u: GridFunction, center, R: float) -> float:
     """Localization error of the inner cut-off at scale R.
 
@@ -249,16 +226,9 @@ def cutoff_defect(op: StiffnessOperator, u: GridFunction, center, R: float) -> f
     weighted energy of u; decays as R grows for fixed u.
     """
     phi, _ = make_cutoffs(R)
-    weights = phi(_radii_from(op.grid, center))
+    weights = phi(distances_from(op.grid, center))
     v = GridFunction(op.grid, weights * u.values)
     return abs(gagliardo_sq(op, v) - weighted_gagliardo_sq(op, u, weights))
-
-
-def _outer_cutoff_defect(op: StiffnessOperator, u: GridFunction, center, R: float) -> float:
-    _, psi = make_cutoffs(R)
-    weights = psi(_radii_from(op.grid, center))
-    w = GridFunction(op.grid, weights * u.values)
-    return abs(gagliardo_sq(op, w) - weighted_gagliardo_sq(op, u, weights))
 
 
 def dichotomy_split(op: StiffnessOperator, u: GridFunction, center,
@@ -267,12 +237,13 @@ def dichotomy_split(op: StiffnessOperator, u: GridFunction, center,
 
     v = phi_R1 u lives in B_2R1, w = psi_R2 u lives off B_R2; R2 >= 2 R1
     keeps the supports disjoint.  The seminorm defect [u]^2 - [v]^2 - [w]^2
-    is certified to be >= -2 (defect at R1 + defect at R2).
+    is certified to be >= -2 (defect at R1 + defect at R2), where the
+    defect of a cut-off c is |[c u]^2 - [u]_{c^2}^2|, as in cutoff_defect.
     """
     if R2 < 2.0 * R1:
         raise ParameterError(f"R2 must be >= 2 R1, got R1={R1}, R2={R2}")
     grid = op.grid
-    rr = _radii_from(grid, center)
+    rr = distances_from(grid, center)
     phi, _ = make_cutoffs(R1)
     _, psi = make_cutoffs(R2)
     v = GridFunction(grid, phi(rr) * u.values)
@@ -280,13 +251,14 @@ def dichotomy_split(op: StiffnessOperator, u: GridFunction, center,
     sup_v = np.flatnonzero(v.values != 0.0)
     sup_w = np.flatnonzero(w.values != 0.0)
     if sup_v.size and sup_w.size:
-        cv, cw = grid.cell_centers[sup_v], grid.cell_centers[sup_w]
-        gap = float(min(np.sqrt(((cw - c) ** 2).sum(axis=1)).min() for c in cv))
+        gap = float(cdist(grid.cell_centers[sup_v], grid.cell_centers[sup_w]).min())
     else:
         gap = float(R2 - 2.0 * R1)
     diff = GridFunction(grid, u.values - v.values - w.values)
-    defect = gagliardo_sq(op, u) - gagliardo_sq(op, v) - gagliardo_sq(op, w)
-    tol = 2.0 * (cutoff_defect(op, u, center, R1) + _outer_cutoff_defect(op, u, center, R2))
+    q_v, q_w = gagliardo_sq(op, v), gagliardo_sq(op, w)
+    defect = gagliardo_sq(op, u) - q_v - q_w
+    tol = 2.0 * (abs(q_v - weighted_gagliardo_sq(op, u, phi(rr)))
+                 + abs(q_w - weighted_gagliardo_sq(op, u, psi(rr))))
     if defect < -tol:
         raise NumericError(
             f"seminorm defect {defect:.3e} below the certified bound {-tol:.3e}",
@@ -324,24 +296,19 @@ def lieb_translation_search(base: StiffnessOperator, mask_a: DomainMask,
     lo, hi = multi.min(axis=0), multi.max(axis=0)
     ranges = [range(-int(l), grid.resolution - int(h)) for l, h in zip(lo, hi)]
     best = None
-    found_overlap = False
-    grids_shape = (grid.resolution,) * grid.dim
-    cells_b = mask_b.cells.reshape(grids_shape)
-    cells_a = mask_a.cells.reshape(grids_shape)
-    shifts = [(z,) for z in ranges[0]] if grid.dim == 1 else \
-        [(z0, z1) for z0 in ranges[0] for z1 in ranges[1]]
-    for z in shifts:
+    cells_b = mask_b.cells.reshape(grid.shape)
+    cells_a = mask_a.cells.reshape(grid.shape)
+    for z in itertools.product(*ranges):
         shifted = np.roll(cells_a, z, axis=tuple(range(grid.dim)))
         inter = np.flatnonzero((shifted & cells_b).ravel())
         if inter.size == 0:
             continue
-        found_overlap = True
         lam = eigenpairs(restrict(base, mask_from_indices(grid, inter)), 1).eigenvalues[0]
         if lam <= bound:
             return LiebResult(np.asarray(z), float(lam), float(bound), True)
         if best is None or lam < best[1]:
             best = (np.asarray(z), float(lam))
-    if not found_overlap:
+    if best is None:
         raise DomainEmptyError("no lattice shift produces a nonempty intersection")
     return LiebResult(best[0], best[1], float(bound), False)
 

@@ -22,15 +22,20 @@ O(h^(2-2s)), which is several percent already at s = 0.7, h ~ 1/16.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import BudgetError, NumericError, ParameterError, StructuralError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, lattice_points
 
-MAX_DENSE_CELLS = 4096  # dense stiffness storage budget
+# Dense assembly budget: several n x n float arrays, 134 MB each at this
+# size.  cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
+MAX_DENSE_CELLS = 4096
+# The exterior-tail shell and the Fourier-side DFT lattice span PADDING
+# box widths per axis.
+PADDING = 4
 
 # unit-sphere measure sigma_{dim-1}
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}
@@ -134,7 +139,7 @@ class StiffnessOperator:
     offdiag: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def diag(self) -> np.ndarray:
         """d_i = sum_j k_ij + rho_i."""
         return self.offdiag.sum(axis=1) + self.tail
@@ -149,25 +154,24 @@ class StiffnessOperator:
         return self.diag * u - self.offdiag @ u
 
 
-def _exterior_tail(grid: Grid, s: float, padding: int = 4) -> np.ndarray:
+def _exterior_tail(grid: Grid, s: float) -> np.ndarray:
     """Exterior-tail weights rho_i (including the h^dim cell measure).
 
-    Mid-point quadrature over the padded shell (padding factor 4) plus the
-    analytic radial remainder beyond the inscribed radius R_out.
+    Mid-point quadrature over the padded shell (about PADDING box widths
+    per axis) plus the analytic radial remainder beyond the inscribed
+    radius R_out.  The shell extends the box lattice by whole cells, so it
+    is aligned with the box for either parity of the resolution.
     """
     w = grid.half_width
     h = grid.h
     dim = grid.dim
+    n = grid.resolution
     centers = grid.cell_centers
-    pad_w = padding * w
-    n_pad = padding * grid.resolution
-    ax = -pad_w + h * (np.arange(n_pad) + 0.5)
-    if dim == 1:
-        shell = ax[np.abs(ax) > w][:, None]
-    else:
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        shell = pts[np.max(np.abs(pts), axis=1) > w]
+    extra = (PADDING - 1) * n // 2
+    ax = -w + h * (np.arange(-extra, n + extra) + 0.5)
+    pad_w = w + extra * h
+    pts = lattice_points(ax, dim)
+    shell = pts[np.max(np.abs(pts), axis=1) > w]
     sigma = _SPHERE_MEASURE[dim]
     rho = np.empty(grid.n_cells)
     chunk = max(1, int(2e7) // max(1, shell.shape[0]))
@@ -197,8 +201,7 @@ def adjacent_correction_factor(s: float, dim: int) -> float:
     return float(1.0 + c)
 
 
-def assemble_stiffness(grid: Grid, s: float, padding: int = 4,
-                       adjacent_correction: bool = True) -> StiffnessOperator:
+def assemble_stiffness(grid: Grid, s: float) -> StiffnessOperator:
     """Assemble the discrete Gagliardo form on the full grid."""
     s = _check_s(s)
     m = grid.n_cells
@@ -207,22 +210,22 @@ def assemble_stiffness(grid: Grid, s: float, padding: int = 4,
             f"grid has {m} cells, over the dense-assembly budget of {MAX_DENSE_CELLS}"
         )
     centers = grid.cell_centers
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     np.fill_diagonal(dist, 1.0)  # placeholder; diagonal is zeroed below
     k = grid.h ** (2 * grid.dim) * dist ** (-(grid.dim + 2.0 * s))
     np.fill_diagonal(k, 0.0)
-    rho = _exterior_tail(grid, s, padding=padding)
-    if adjacent_correction:
-        multi = grid.multi_index(np.arange(m))
-        steps = np.abs(multi[:, None, :] - multi[None, :, :])
-        face = steps.sum(axis=2) == 1
-        factor = adjacent_correction_factor(s, grid.dim)
-        k[face] *= factor
-        # box-edge cells have face neighbors in the exterior tail; correct
-        # those couplings too, else the diagonal loses translation invariance
-        boundary_faces = ((multi == 0) | (multi == grid.resolution - 1)).sum(axis=1)
-        rho = rho + (factor - 1.0) * grid.h ** (grid.dim - 2.0 * s) * boundary_faces
+    # the tail's chunked temporaries set the peak memory of assembly, so it
+    # runs before the (n, n, dim) face-step array below exists
+    rho = _exterior_tail(grid, s)
+    multi = grid.multi_index(np.arange(m))
+    steps = np.abs(multi[:, None, :] - multi[None, :, :])
+    face = steps.sum(axis=2) == 1
+    factor = adjacent_correction_factor(s, grid.dim)
+    k[face] *= factor
+    # box-edge cells have face neighbors in the exterior tail; correct
+    # those couplings too, else the diagonal loses translation invariance
+    boundary_faces = ((multi == 0) | (multi == grid.resolution - 1)).sum(axis=1)
+    rho = rho + (factor - 1.0) * grid.h ** (grid.dim - 2.0 * s) * boundary_faces
     params = make_frac_params(s, grid.dim)
     return StiffnessOperator(grid=grid, params=params, offdiag=k, tail=rho)
 
@@ -255,8 +258,7 @@ def weighted_gagliardo_sq(op: StiffnessOperator, u: GridFunction,
     return float(pair + np.dot(op.tail * w2, v * v))
 
 
-def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction,
-                        padding: int = 4) -> float:
+def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction) -> float:
     """Frequency-side evaluation of the Gagliardo energy.
 
     Computes (1/c_norm) * int |xi|^(2s) |Fu(xi)|^2 dxi on a zero-padded DFT
@@ -264,7 +266,7 @@ def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction,
     Plancherel weight folded in.  The singular factor |xi|^(2s) is
     integrated exactly over each frequency bin; the remaining error comes
     from the finite period of the padded lattice and decreases with
-    resolution (at fixed cell width) and with padding.  Matches the
+    resolution (at fixed cell width) and with PADDING.  Matches the
     one-per-pair convention of gagliardo_sq.
     """
     if grid != u.grid:
@@ -273,31 +275,23 @@ def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction,
         raise ParameterError(
             f"params are for dim {params.dim}, grid has dim {grid.dim}"
         )
-    if padding < 4:
-        raise ParameterError(f"padding must be >= 4, got {padding}")
     h = grid.h
     s = params.s
-    n = padding * grid.resolution
+    n = PADDING * grid.resolution
     xi_axis = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     d_xi = 2.0 * np.pi / (n * h)
+    padded = np.zeros((n,) * grid.dim)
+    padded[(slice(0, grid.resolution),) * grid.dim] = u.values.reshape(grid.shape)
+    uhat = h ** grid.dim * np.fft.fftn(padded)
     if grid.dim == 1:
-        padded = np.zeros(n)
-        padded[: grid.resolution] = u.values
-        uhat = h * np.fft.fft(padded)
         lo = np.maximum(np.abs(xi_axis) - d_xi / 2.0, 0.0)
         hi = np.abs(xi_axis) + d_xi / 2.0
         weights = (hi ** (1.0 + 2.0 * s) - lo ** (1.0 + 2.0 * s)) / (1.0 + 2.0 * s)
-        total = np.sum(weights * np.abs(uhat) ** 2)
-        return float(total / (2.0 * np.pi * params.c_norm))
-    padded = np.zeros((n, n))
-    padded[: grid.resolution, : grid.resolution] = u.values.reshape(
-        (grid.resolution, grid.resolution)
-    )
-    uhat = h ** 2 * np.fft.fft2(padded)
-    xi_mag = np.sqrt(xi_axis[:, None] ** 2 + xi_axis[None, :] ** 2)
-    weights = xi_mag ** (2.0 * s) * d_xi ** 2
-    # zero bin: integrate |xi|^(2s) over the equal-area disc
-    r0 = d_xi / np.sqrt(np.pi)
-    weights[0, 0] = 2.0 * np.pi * r0 ** (2.0 + 2.0 * s) / (2.0 + 2.0 * s)
+    else:
+        xi_mag = np.sqrt(xi_axis[:, None] ** 2 + xi_axis[None, :] ** 2)
+        weights = xi_mag ** (2.0 * s) * d_xi ** 2
+        # zero bin: integrate |xi|^(2s) over the equal-area disc
+        r0 = d_xi / np.sqrt(np.pi)
+        weights[0, 0] = 2.0 * np.pi * r0 ** (2.0 + 2.0 * s) / (2.0 + 2.0 * s)
     total = np.sum(weights * np.abs(uhat) ** 2)
-    return float(total / ((2.0 * np.pi) ** 2 * params.c_norm))
+    return float(total / ((2.0 * np.pi) ** grid.dim * params.c_norm))

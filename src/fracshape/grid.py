@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 
-MAX_CELLS = 16384  # dense-assembly budget for grid construction
+# Grid construction budget.  Grids that are only sampled (`classify` builds
+# up to 7,616 cells) may exceed forms.MAX_DENSE_CELLS, the assembly budget.
+MAX_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -44,26 +46,35 @@ class Grid:
         return -self.half_width + h * (np.arange(self.resolution) + 0.5)
 
     @property
+    def shape(self) -> tuple:
+        """Lattice shape of the C-ordered cell arrays."""
+        return (self.resolution,) * self.dim
+
+    @property
     def cell_centers(self) -> np.ndarray:
         """(n_cells, dim) array of cell-center coordinates, C-ordered."""
-        ax = self.axis_centers
-        if self.dim == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return lattice_points(self.axis_centers, self.dim)
 
     def multi_index(self, flat: np.ndarray) -> np.ndarray:
         """(k, dim) integer lattice coordinates of flat cell indices."""
-        flat = np.asarray(flat)
-        if self.dim == 1:
-            return flat[:, None]
-        return np.column_stack(np.unravel_index(flat, (self.resolution,) * 2))
+        return np.column_stack(np.unravel_index(np.asarray(flat), self.shape))
 
     def flat_index(self, multi: np.ndarray) -> np.ndarray:
-        multi = np.asarray(multi)
-        if self.dim == 1:
-            return multi[:, 0]
-        return np.ravel_multi_index((multi[:, 0], multi[:, 1]), (self.resolution,) * 2)
+        return np.ravel_multi_index(tuple(np.asarray(multi).T), self.shape)
+
+
+def lattice_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    """(len(axis)^dim, dim) C-ordered points of the product lattice axis^dim."""
+    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def distances_from(grid: Grid, center) -> np.ndarray:
+    """Euclidean distance of every cell center from `center`."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.dim,):
+        raise ParameterError(f"center must have {grid.dim} components")
+    return np.sqrt(((grid.cell_centers - center) ** 2).sum(axis=1))
 
 
 def build_grid(dim: int, half_width: float, resolution: int) -> Grid:
@@ -181,8 +192,7 @@ def l2_inner(u: GridFunction, v: GridFunction) -> float:
 def l2_distance(u: GridFunction, v: GridFunction) -> float:
     if u.grid != v.grid:
         raise StructuralError("functions live on different grids")
-    d = u.values - v.values
-    return float(np.sqrt(u.grid.cell_volume * np.dot(d, d)))
+    return GridFunction(u.grid, u.values - v.values).l2_norm()
 
 
 # --- JSON-friendly serialization -------------------------------------------

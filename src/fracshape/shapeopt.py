@@ -9,14 +9,17 @@ dichotomy-like and audit volume semicontinuity of the torsion limit.
 from __future__ import annotations
 
 import ast
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial.distance import cdist
 
 from .errors import DomainEmptyError, ParameterError, StructuralError
 from .forms import StiffnessOperator, assemble_stiffness
-from .grid import DomainMask, Grid, GridFunction, l2_distance, mask_from_indices
+from .grid import (DomainMask, Grid, GridFunction, distances_from, l2_distance,
+                   mask_from_indices)
 from .solvers import (DirichletOperator, TorsionFunction, eigenpairs,
                       eigenvalues_or_inf, resolvent_norm_diff, restrict,
                       solve_torsion)
@@ -131,10 +134,7 @@ def ball_mask(grid: Grid, center, volume: float) -> DomainMask:
         raise ParameterError(
             f"volume {volume} needs {count} cells, grid has {grid.n_cells}"
         )
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (grid.dim,):
-        raise ParameterError(f"center must have {grid.dim} components")
-    dist = np.sqrt(((grid.cell_centers - center) ** 2).sum(axis=1))
+    dist = distances_from(grid, center)
     order = np.lexsort((np.arange(grid.n_cells), dist))
     return mask_from_indices(grid, order[:count])
 
@@ -210,25 +210,12 @@ class ShapeTrajectory:
     move_log: list
 
 
-def _neighbor_offsets(dim: int) -> list:
-    if dim == 1:
-        return [(-1,), (1,)]
-    return [(-1, 0), (1, 0), (0, -1), (0, 1)]
-
-
 def _boundary_cells(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """Active cells with at least one inactive face neighbor (box exterior
     counts as inactive)."""
-    shape = (grid.resolution,) * grid.dim
-    arr = cells.reshape(shape)
-    interior = np.ones(shape, dtype=bool)
-    for off in _neighbor_offsets(grid.dim):
-        shifted = np.ones(shape, dtype=bool) & False
-        src = tuple(slice(max(0, -o), grid.resolution - max(0, o)) for o in off)
-        dst = tuple(slice(max(0, o), grid.resolution + min(0, o)) for o in off)
-        shifted[dst] = arr[src]
-        interior &= shifted
-    return np.flatnonzero(arr & ~interior)
+    arr = cells.reshape(grid.shape)
+    cross = ndimage.generate_binary_structure(grid.dim, 1)
+    return np.flatnonzero(arr & ~ndimage.binary_erosion(arr, cross, border_value=0))
 
 
 def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
@@ -290,18 +277,15 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
                            seed=seed, move_log=move_log)
 
 
-def trajectory_from_masks(base: StiffnessOperator, masks,
-                          spec: FunctionalSpec | None = None,
-                          seed: int = 0) -> ShapeTrajectory:
-    """Wrap an explicit mask sequence as a trajectory (for the detectors)."""
+def trajectory_from_masks(base: StiffnessOperator, masks) -> ShapeTrajectory:
+    """Wrap an explicit mask sequence as a trajectory (for the detectors);
+    it has no functional values (NaN) and seed 0."""
     masks = list(masks)
     if not masks:
         raise ParameterError("trajectory needs at least one mask")
-    values = [eval_functional(spec, base, mk) if spec is not None else float("nan")
-              for mk in masks]
     torsions = [solve_torsion(restrict(base, mk)) for mk in masks]
-    return ShapeTrajectory(masks=masks, values=values, torsions=torsions,
-                           seed=seed, move_log=[])
+    return ShapeTrajectory(masks=masks, values=[float("nan")] * len(masks),
+                           torsions=torsions, seed=0, move_log=[])
 
 
 # --- trajectory detectors -----------------------------------------------------
@@ -318,51 +302,42 @@ class DichotomyReport:
 def connected_components(mask: DomainMask) -> list:
     """Face-adjacent lattice components as index arrays, largest first."""
     grid = mask.grid
-    shape = (grid.resolution,) * grid.dim
     structure = ndimage.generate_binary_structure(grid.dim, 1)
-    labels, n = ndimage.label(mask.cells.reshape(shape), structure=structure)
+    labels, n = ndimage.label(mask.cells.reshape(grid.shape), structure=structure)
     flat = labels.ravel()
     comps = [np.flatnonzero(flat == i) for i in range(1, n + 1)]
     return sorted(comps, key=lambda idx: (-idx.size, idx[0]))
 
 
 def _component_gap(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    ca, cb = grid.cell_centers[a], grid.cell_centers[b]
-    return float(min(np.sqrt(((cb - p) ** 2).sum(axis=1)).min() for p in ca))
+    return float(cdist(grid.cell_centers[a], grid.cell_centers[b]).min())
 
 
 def _two_clusters(grid: Grid, comps: list):
     """Single-linkage agglomeration of components down to two clusters."""
-    clusters = [list(c) for c in comps]
+    clusters = list(comps)
     while len(clusters) > 2:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                g = _component_gap(grid, np.asarray(clusters[i]),
-                                   np.asarray(clusters[j]))
-                if best is None or g < best[0]:
-                    best = (g, i, j)
-        _, i, j = best
-        clusters[i] = clusters[i] + clusters[j]
+        i, j = min(itertools.combinations(range(len(clusters)), 2),
+                   key=lambda ij: _component_gap(grid, clusters[ij[0]], clusters[ij[1]]))
+        clusters[i] = np.concatenate([clusters[i], clusters[j]])
         del clusters[j]
-    return [np.asarray(sorted(c)) for c in clusters]
+    return [np.sort(c) for c in clusters]
 
 
 def _analyze_mask(base: StiffnessOperator, mask: DomainMask):
     """Split a mask into two clusters, dropping small debris components.
 
     Returns (cluster index arrays, separation, volumes, resolvent gap to the
-    debris-free union) or None when the mask is effectively one cluster.
+    debris-free union), or None when the mask is not two clusters plus
+    debris.
     """
     grid = mask.grid
     comps = connected_components(mask)
     debris_cells = int(DEBRIS_FRACTION * mask.n_active)
     main = [c for c in comps if c.size > debris_cells]
     dropped = mask.n_active - sum(c.size for c in main)
-    if dropped > debris_cells or len(main) == 0:
+    if dropped > debris_cells or len(main) < 2:
         return None
-    if len(main) == 1:
-        return ("single", main[0], dropped)
     clusters = _two_clusters(grid, main)
     sep = _component_gap(grid, clusters[0], clusters[1])
     vols = (grid.cell_volume * clusters[0].size, grid.cell_volume * clusters[1].size)
@@ -371,32 +346,37 @@ def _analyze_mask(base: StiffnessOperator, mask: DomainMask):
         gap = resolvent_norm_diff(restrict(base, mask), restrict(base, kept))
     else:
         gap = 0.0
-    return ("pair", clusters, sep, vols, gap)
+    return clusters, sep, vols, gap
 
 
 def _recentered_torsion(t: TorsionFunction) -> GridFunction:
     """Shift the torsion by whole cells so its mass centroid sits at the
     box center (values rolled on the lattice, zero-filled)."""
     grid = t.mask.grid
-    w = t.values.values
-    shape = (grid.resolution,) * grid.dim
-    arr = w.reshape(shape)
-    total = w.sum()
-    if total <= 0:
+    if t.values.values.sum() <= 0:
         return t.values
-    out = arr
+    out = t.values.values.reshape(grid.shape)
+    coords = np.arange(grid.resolution)
     for axis in range(grid.dim):
-        coords = np.arange(grid.resolution)
         profile = out.sum(axis=tuple(a for a in range(grid.dim) if a != axis))
         centroid = (coords * profile).sum() / profile.sum()
-        shift = int(round((grid.resolution - 1) / 2.0 - centroid))
-        rolled = np.roll(out, shift, axis=axis)
-        if shift > 0:
-            rolled[(slice(None),) * axis + (slice(0, shift),)] = 0.0
-        elif shift < 0:
-            rolled[(slice(None),) * axis + (slice(shift, None),)] = 0.0
-        out = rolled
+        shift = np.zeros(grid.dim)
+        shift[axis] = int(round((grid.resolution - 1) / 2.0 - centroid))
+        out = ndimage.shift(out, shift, order=0, mode="constant")
     return GridFunction(grid, out.ravel())
+
+
+def _tail_indices(traj: ShapeTrajectory) -> list:
+    """Indices of the trajectory tail: the last third, at least two masks."""
+    if not traj.masks:
+        raise ParameterError("trajectory is empty")
+    n = len(traj.masks)
+    return list(range(max(0, n - max(2, n // 3)), n))
+
+
+def _pairwise_within(functions: list, tol: float) -> bool:
+    """True when every pair of the functions is closer than tol in L2."""
+    return all(l2_distance(a, b) < tol for a, b in itertools.combinations(functions, 2))
 
 
 def detect_dichotomy(traj: ShapeTrajectory, base: StiffnessOperator) -> DichotomyReport:
@@ -407,16 +387,11 @@ def detect_dichotomy(traj: ShapeTrajectory, base: StiffnessOperator) -> Dichotom
     the debris-free union.  Compactness needs the recentered torsion
     functions to be Cauchy in L2.
     """
-    if not traj.masks:
-        raise ParameterError("trajectory is empty")
-    n = len(traj.masks)
-    tail_idx = list(range(max(0, n - max(2, n // 3)), n))
+    tail_idx = _tail_indices(traj)
     analyses = [_analyze_mask(base, traj.masks[i]) for i in tail_idx]
     separations, volumes, gaps, components = [], [], [], []
-    all_pairs = all(a is not None and a[0] == "pair" for a in analyses)
-    if all_pairs:
-        for a, i in zip(analyses, tail_idx):
-            _, clusters, sep, vols, gap = a
+    if all(a is not None for a in analyses):
+        for (clusters, sep, vols, gap), i in zip(analyses, tail_idx):
             grid = traj.masks[i].grid
             components.append((mask_from_indices(grid, clusters[0]),
                                mask_from_indices(grid, clusters[1])))
@@ -434,11 +409,7 @@ def detect_dichotomy(traj: ShapeTrajectory, base: StiffnessOperator) -> Dichotom
                                    volumes, gaps)
     recentered = [_recentered_torsion(traj.torsions[i]) for i in tail_idx]
     scale = np.mean([w.l2_norm() for w in recentered])
-    cauchy = all(
-        l2_distance(recentered[i], recentered[j]) < CAUCHY_FRACTION * scale
-        for i in range(len(recentered)) for j in range(i + 1, len(recentered))
-    ) if scale > 0 else False
-    if cauchy:
+    if scale > 0 and _pairwise_within(recentered, CAUCHY_FRACTION * scale):
         return DichotomyReport("compactness", None, separations, volumes, gaps)
     return DichotomyReport("inconclusive", components or None, separations,
                            volumes, gaps)
@@ -451,29 +422,19 @@ class VolumeSemicontinuityReport:
     passed: bool
 
 
-def volume_semicontinuity_check(traj: ShapeTrajectory,
-                                gamma_tolerance: float | None = None
-                                ) -> VolumeSemicontinuityReport:
+def volume_semicontinuity_check(traj: ShapeTrajectory) -> VolumeSemicontinuityReport:
     """Volume of the torsion-limit support against the tail volumes.
 
     The limit set is the positivity set {w > 1e-8 max w} of the last
     torsion; its volume must not exceed the smallest tail volume (up to one
     cell).  Requires a gamma-convergent tail: pairwise torsion distances
-    below the tolerance (default 2% of the mean torsion norm).
+    below CAUCHY_FRACTION of the mean torsion norm.
     """
-    if not traj.masks:
-        raise ParameterError("trajectory is empty")
-    n = len(traj.masks)
-    tail_idx = list(range(max(0, n - max(2, n // 3)), n))
+    tail_idx = _tail_indices(traj)
     tails = [traj.torsions[i].values for i in tail_idx]
     scale = np.mean([w.l2_norm() for w in tails])
-    tol = gamma_tolerance if gamma_tolerance is not None else CAUCHY_FRACTION * scale
-    for i in range(len(tails)):
-        for j in range(i + 1, len(tails)):
-            if l2_distance(tails[i], tails[j]) >= tol:
-                raise ParameterError(
-                    "trajectory tail is not gamma-convergent within tolerance"
-                )
+    if not _pairwise_within(tails, CAUCHY_FRACTION * scale):
+        raise ParameterError("trajectory tail is not gamma-convergent within tolerance")
     w = tails[-1]
     grid = w.grid
     threshold = 1e-8 * w.values.max()

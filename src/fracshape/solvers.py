@@ -48,8 +48,7 @@ class DirichletOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             a = self.active_index
-            k = self.base.offdiag[np.ix_(a, a)]
-            m = -k
+            m = -self.base.offdiag[np.ix_(a, a)]
             np.fill_diagonal(m, self.base.diag[a])
             self._matrix = m
         return self._matrix
@@ -174,8 +173,7 @@ def _dense_resolvent(op: DirichletOperator | None, indices: np.ndarray) -> np.nd
         return block
     h_meas = op.grid.cell_volume
     inv = h_meas * np.linalg.inv(op.matrix())
-    pos = {cell: i for i, cell in enumerate(indices)}
-    rows = np.array([pos[c] for c in op.active_index])
+    rows = np.searchsorted(indices, op.active_index)
     block[np.ix_(rows, rows)] = inv
     return block
 
@@ -187,17 +185,12 @@ def resolvent_norm_diff(op_a: DirichletOperator | None,
     Either operator may be None (the empty set; null resolvent).  The
     difference is symmetric, so its norm is its largest |eigenvalue|.
     """
-    if op_a is None and op_b is None:
+    ops = [op for op in (op_a, op_b) if op is not None]
+    if not ops:
         return 0.0
-    grids = {op.grid for op in (op_a, op_b) if op is not None}
-    if len(grids) > 1:
+    if len({op.grid for op in ops}) > 1:
         raise StructuralError("operators live on different grids")
-    union = sorted(
-        set()
-        | (set(op_a.active_index.tolist()) if op_a is not None else set())
-        | (set(op_b.active_index.tolist()) if op_b is not None else set())
-    )
-    indices = np.asarray(union, dtype=int)
+    indices = np.unique(np.concatenate([op.active_index for op in ops]))
     d = _dense_resolvent(op_a, indices) - _dense_resolvent(op_b, indices)
     return float(np.abs(eigvalsh(d)).max())
 

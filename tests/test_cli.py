@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fracshape import audit as audit_mod
 from fracshape.audit import bounds_audit, check_stiffness_symmetry
 from fracshape.cli import main, run_experiment, validate_config
 from fracshape.errors import ParameterError
@@ -154,6 +155,23 @@ def test_audit_negative_control():
     assert result.worst_slack < 0
 
 
+def test_run_audit_passes_2d(tmp_path):
+    cfg = {"grid": {"dim": 2, "half_width": 4.0, "resolution": 24}}
+    run_experiment("audit", cfg, tmp_path)
+    lines = (tmp_path / "audit.csv").read_text().splitlines()[1:]
+    assert len(lines) == 12
+    assert all(line.split(",")[2] == "1" for line in lines)
+
+
+def test_cutoff_decay_negative_control(monkeypatch):
+    # a defect that does not decay with R must fail the check
+    base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
+    monkeypatch.setattr(audit_mod, "cutoff_defect", lambda *args: 1.0)
+    result = audit_mod.check_cutoff_decay(base, 0)
+    assert not result.passed
+    assert result.worst_slack <= 0
+
+
 def test_audit_cli_exit_3_on_failure(tmp_path, monkeypatch):
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
     k = base.offdiag.copy()
@@ -185,6 +203,17 @@ def test_main_rejects_malformed_config(tmp_path, capsys):
     rc = main(["torsion", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "'s'" in capsys.readouterr().err
+
+
+def test_main_rejects_grid_over_dense_budget(tmp_path, capsys):
+    big = {"dim": 2, "half_width": 4.0, "resolution": 100}
+    cfg = _write_config(tmp_path, {"grid": big, "s": 0.5, "mask": "full", "k": 1})
+    rc = main(["eig", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the grid subcommand assembles nothing and keeps the larger budget
+    validate_config("grid", {"grid": big})
 
 
 def test_main_list_checks(capsys):

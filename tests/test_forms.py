@@ -8,7 +8,8 @@ from fracshape.forms import (adjacent_correction_factor, assemble_stiffness,
                              fourier_seminorm_sq, gagliardo_sq,
                              make_frac_params, normalization_constant,
                              weighted_gagliardo_sq)
-from fracshape.grid import GridFunction, build_grid
+from fracshape.grid import GridFunction, build_grid, full_mask
+from fracshape.solvers import eigenpairs, restrict
 
 
 def brute_force_pair_energy(grid, s, u, corrected=True):
@@ -71,12 +72,10 @@ def test_adjacent_coupling_raw_value():
     # two adjacent unit cells: distance h, coupling h^2 * h^-2 = 1 before
     # the near-field correction
     g = build_grid(1, 1.0, 2)
-    op = assemble_stiffness(g, 0.5, adjacent_correction=False)
-    assert op.offdiag[0, 1] == pytest.approx(1.0, rel=1e-14)
-    op_c = assemble_stiffness(g, 0.5)
-    assert op_c.offdiag[0, 1] == pytest.approx(
-        adjacent_correction_factor(0.5, 1), rel=1e-14)
-    assert adjacent_correction_factor(0.5, 1) == pytest.approx(1.5, rel=1e-12)
+    op = assemble_stiffness(g, 0.5)
+    factor = adjacent_correction_factor(0.5, 1)
+    assert op.offdiag[0, 1] / factor == pytest.approx(1.0, rel=1e-14)
+    assert factor == pytest.approx(1.5, rel=1e-12)
 
 
 def test_assembly_budget():
@@ -96,13 +95,29 @@ def test_gagliardo_matches_brute_force(dim, res, s):
         assert gagliardo_sq(op, u) == pytest.approx(expected, rel=1e-12)
 
 
-def test_diagonal_translation_invariant():
+@pytest.mark.parametrize("resolution", [64, 63])
+def test_diagonal_translation_invariant(resolution):
     # the box is only a computational frame; d_i must not depend on where
     # the cell sits in it
-    g = build_grid(1, 4.0, 64)
+    g = build_grid(1, 4.0, resolution)
     op = assemble_stiffness(g, 0.5)
     d = op.diag
     assert (d.max() - d.min()) / d.mean() < 1e-6
+
+
+@pytest.mark.parametrize("dim,resolutions", [(1, range(60, 67)), (2, range(12, 17))],
+                         ids=["1d", "2d"])
+def test_lambda1_smooth_across_parity(dim, resolutions):
+    # lambda_1 of the full box converges in h from below: it must rise with
+    # shrinking increments over consecutive resolutions of both parities
+    lam = []
+    for r in resolutions:
+        g = build_grid(dim, 4.0, r)
+        op = assemble_stiffness(g, 0.5)
+        lam.append(eigenpairs(restrict(op, full_mask(g)), 1).eigenvalues[0])
+    steps = np.diff(lam)
+    assert np.all(steps > 0)
+    assert np.all(np.diff(steps) < 0)
 
 
 def test_fourier_identity_gaussian():
