@@ -30,8 +30,10 @@ from scipy import integrate, special
 from .errors import BudgetError, NumericError, ParameterError, StructuralError
 from .grid import Grid, GridFunction, lattice_points
 
-# Dense assembly budget: several n x n float arrays, 134 MB each at this
-# size.  cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
+# Dense assembly budget.  Assembly peaks at two n x n float arrays
+# (tracemalloc: 16 MiB on a 2D 32^2 grid, 256 MiB at 64^2, this size); the
+# solvers' restricted copies and factors add a few more.
+# cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
 MAX_DENSE_CELLS = 4096
 # The exterior-tail shell and the Fourier-side DFT lattice span PADDING
 # box widths per axis.
@@ -154,37 +156,37 @@ class StiffnessOperator:
         return self.diag * u - self.offdiag @ u
 
 
-def _exterior_tail(grid: Grid, s: float) -> np.ndarray:
+def _exterior_tail(grid: Grid, s: float, row_sums: np.ndarray) -> np.ndarray:
     """Exterior-tail weights rho_i (including the h^dim cell measure).
 
-    Mid-point quadrature over the padded shell (about PADDING box widths
-    per axis) plus the analytic radial remainder beyond the inscribed
-    radius R_out.  The shell extends the box lattice by whole cells, so it
-    is aligned with the box for either parity of the resolution.
+    rho_i sums |c_i - p|^-(dim+2s) over the padded-shell points p (PADDING
+    box widths per axis, less the box) within R_i = pad_w - max|c_i|, plus
+    the analytic radial remainder beyond R_i.  The shell extends the box
+    lattice by whole cells, so p = c_i + z h for integer z, and the ball of
+    radius R_i >= 3w lies inside the padded lattice and holds the box
+    (diameter 2 sqrt(dim) w).  The shell sum is therefore exactly the lattice
+    sum S(R_i) = sum_{0 < |z| h <= R_i} |z h|^-(dim+2s) minus the raw box row
+    sum `row_sums` (sum_{j != i} k_ij before the face correction).  R_i / h
+    is a half-integer and |z| never is, so no offset ties with the boundary.
+    S is summed once per distinct R_i.  The subtraction leaves rho_i with
+    rounding of order eps * row_sums_i (2.5e-12 relative at 1D 128 cells,
+    s = 0.9); the diagonal row_sums_i + rho_i stays exact to rounding.
     """
-    w = grid.half_width
     h = grid.h
     dim = grid.dim
     n = grid.resolution
-    centers = grid.cell_centers
     extra = (PADDING - 1) * n // 2
-    ax = -w + h * (np.arange(-extra, n + extra) + 0.5)
-    pad_w = w + extra * h
-    pts = lattice_points(ax, dim)
-    shell = pts[np.max(np.abs(pts), axis=1) > w]
-    sigma = _SPHERE_MEASURE[dim]
-    rho = np.empty(grid.n_cells)
-    chunk = max(1, int(2e7) // max(1, shell.shape[0]))
-    for start in range(0, grid.n_cells, chunk):
-        block = centers[start:start + chunk]
-        r_out = pad_w - np.max(np.abs(block), axis=1)
-        d = np.linalg.norm(block[:, None, :] - shell[None, :, :], axis=2)
-        inside = d <= r_out[:, None]
-        contrib = np.where(inside, d ** (-(dim + 2.0 * s)), 0.0)
-        near = h ** dim * contrib.sum(axis=1)
-        far = sigma * r_out ** (-2.0 * s) / (2.0 * s)
-        rho[start:start + block.shape[0]] = near + far
-    return h ** dim * rho
+    # R_i / h: pad_w / h = n/2 + extra, |c_i| / h = |k + 1/2 - n/2| per axis
+    multi = grid.multi_index(np.arange(grid.n_cells))
+    r = n / 2 + extra - np.max(np.abs(multi + 0.5 - n / 2), axis=1)
+    radii, ring = np.unique(r, return_inverse=True)
+    z = lattice_points(np.arange(-int(radii[-1]), int(radii[-1]) + 1), dim)
+    q = np.sum(z * z, axis=1)
+    q = q[q > 0].astype(float)
+    terms = q ** (-(dim + 2.0 * s) / 2.0)
+    lattice = np.array([terms[q <= radius * radius].sum() for radius in radii])
+    far = _SPHERE_MEASURE[dim] * (h * r) ** (-2.0 * s) / (2.0 * s)
+    return h ** (dim - 2.0 * s) * lattice[ring] - row_sums + h ** dim * far
 
 
 @lru_cache(maxsize=None)
@@ -209,17 +211,21 @@ def assemble_stiffness(grid: Grid, s: float) -> StiffnessOperator:
         raise BudgetError(
             f"grid has {m} cells, over the dense-assembly budget of {MAX_DENSE_CELLS}"
         )
-    centers = grid.cell_centers
-    dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-    np.fill_diagonal(dist, 1.0)  # placeholder; diagonal is zeroed below
-    k = grid.h ** (2 * grid.dim) * dist ** (-(grid.dim + 2.0 * s))
-    np.fill_diagonal(k, 0.0)
-    # the tail's chunked temporaries set the peak memory of assembly, so it
-    # runs before the (n, n, dim) face-step array below exists
-    rho = _exterior_tail(grid, s)
+    # squared lattice offsets, one axis at a time: |c_i - c_j|^2 = h^2 d2_ij
     multi = grid.multi_index(np.arange(m))
-    steps = np.abs(multi[:, None, :] - multi[None, :, :])
-    face = steps.sum(axis=2) == 1
+    d2 = np.zeros((m, m))
+    step = np.empty((m, m))
+    for x in multi.T.astype(float):
+        np.subtract.outer(x, x, out=step)
+        d2 += np.square(step, out=step)
+    del step
+    face = d2 == 1.0
+    np.fill_diagonal(d2, 1.0)  # placeholder; diagonal is zeroed below
+    # k_ij = h^(2 dim) |c_i - c_j|^-(dim+2s), computed in place of d2
+    k = np.power(d2, -(grid.dim + 2.0 * s) / 2.0, out=d2)
+    k *= grid.h ** (grid.dim - 2.0 * s)
+    np.fill_diagonal(k, 0.0)
+    rho = _exterior_tail(grid, s, k.sum(axis=1))
     factor = adjacent_correction_factor(s, grid.dim)
     k[face] *= factor
     # box-edge cells have face neighbors in the exterior tail; correct

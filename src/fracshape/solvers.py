@@ -14,6 +14,7 @@ Each result is checked against a residual tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
@@ -89,9 +90,21 @@ class TorsionFunction:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """Eigenvalues (ascending) and residuals of a Dirichlet operator.
+
+    `vectors` holds the eigenvectors on the active cells; the full-grid,
+    sign-normalized eigenfunctions are built on first access, so callers
+    that need only eigenvalues (annealing) never scatter.
+    """
+
     eigenvalues: np.ndarray
-    eigenfunctions: list
     residuals: np.ndarray
+    op: DirichletOperator = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+
+    @cached_property
+    def eigenfunctions(self) -> list:
+        return [self.op.scatter(_sign_normalize(v)) for v in self.vectors.T]
 
 
 def _checked_solve(op: DirichletOperator, b: np.ndarray) -> tuple:
@@ -147,11 +160,7 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
                            achieved=float(np.max(residuals)))
     # eigh returns unit vectors: rescale to unit h^dim-weighted L2 norm
     vecs = vecs / np.sqrt(h_meas)
-    return Spectrum(
-        eigenvalues=vals,
-        eigenfunctions=[op.scatter(_sign_normalize(vecs[:, j])) for j in range(k)],
-        residuals=residuals,
-    )
+    return Spectrum(eigenvalues=vals, residuals=residuals, op=op, vectors=vecs)
 
 
 def eigenvalues_or_inf(base: StiffnessOperator, mask: DomainMask, k: int) -> np.ndarray:

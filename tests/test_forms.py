@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from fracshape.errors import BudgetError, NumericError, ParameterError
-from fracshape.forms import (adjacent_correction_factor, assemble_stiffness,
-                             fourier_seminorm_sq, gagliardo_sq,
+from fracshape.forms import (PADDING, _exterior_tail, adjacent_correction_factor,
+                             assemble_stiffness, fourier_seminorm_sq, gagliardo_sq,
                              make_frac_params, normalization_constant,
                              weighted_gagliardo_sq)
-from fracshape.grid import GridFunction, build_grid, full_mask
+from fracshape.grid import GridFunction, build_grid, full_mask, lattice_points
 from fracshape.solvers import eigenpairs, restrict
 
 
@@ -103,6 +106,76 @@ def test_diagonal_translation_invariant(resolution):
     op = assemble_stiffness(g, 0.5)
     d = op.diag
     assert (d.max() - d.min()) / d.mean() < 1e-6
+
+
+TAIL_RTOL = 1e-12
+
+
+def shell_quadrature_tail(grid, s, shift=0.0):
+    """Brute-force exterior tail: each padded-shell point within R_i of c_i.
+
+    The shell extends the box lattice by whole cells; `shift` moves it by a
+    fraction of a cell.  Half a cell at odd resolution is the off-lattice
+    shell of the parity fault.
+    """
+    w, h, dim, n = grid.half_width, grid.h, grid.dim, grid.resolution
+    extra = (PADDING - 1) * n // 2
+    pad_w = w + extra * h
+    pts = lattice_points(-w + h * (np.arange(-extra, n + extra) + 0.5 + shift), dim)
+    shell = pts[np.max(np.abs(pts), axis=1) > w]
+    sigma = 2.0 if dim == 1 else 2.0 * np.pi
+    rho = np.empty(grid.n_cells)
+    for i, c in enumerate(grid.cell_centers):
+        r_out = pad_w - np.max(np.abs(c))
+        d = np.linalg.norm(shell - c, axis=1)
+        near = h ** dim * np.sum(d[d <= r_out] ** (-(dim + 2.0 * s)))
+        rho[i] = h ** dim * (near + sigma * r_out ** (-2.0 * s) / (2.0 * s))
+    return rho
+
+
+def raw_row_sums(grid, s):
+    """sum_{j != i} k_ij without the face correction, from whole-cell offsets.
+
+    |c_i - c_j| = h |z| for an integer offset z, so
+    k_ij = h^(2 dim) |c_i - c_j|^-(dim+2s) = h^(dim-2s) |z|^-(dim+2s).
+    """
+    multi = grid.multi_index(np.arange(grid.n_cells))
+    d = cdist(multi, multi)
+    np.fill_diagonal(d, np.inf)
+    return grid.h ** (grid.dim - 2.0 * s) * (d ** (-(grid.dim + 2.0 * s))).sum(axis=1)
+
+
+def tail_error(grid, s, oracle):
+    rho = _exterior_tail(grid, s, raw_row_sums(grid, s))
+    return np.max(np.abs(rho - oracle) / oracle)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("dim,resolution", [(1, 63), (1, 64), (2, 15), (2, 16)])
+def test_exterior_tail_matches_shell_quadrature(dim, resolution, s):
+    g = build_grid(dim, 4.0, resolution)
+    assert tail_error(g, s, shell_quadrature_tail(g, s)) < TAIL_RTOL
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 63), (2, 15)])
+def test_exterior_tail_oracle_negative_control(dim, resolution):
+    # a shell half a cell off the box lattice must fail the comparison
+    g = build_grid(dim, 4.0, resolution)
+    assert tail_error(g, 0.5, shell_quadrature_tail(g, 0.5, shift=0.5)) > TAIL_RTOL
+
+
+def test_assembly_peak_memory():
+    # assembly holds the coupling matrix and one work array of its size;
+    # no (n, n, dim) or cell-by-shell temporaries
+    g = build_grid(2, 4.0, 32)
+    assemble_stiffness(g, 0.5)  # warm the cached constants
+    tracemalloc.start()
+    try:
+        assemble_stiffness(g, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * g.n_cells ** 2
 
 
 @pytest.mark.parametrize("dim,resolutions", [(1, range(60, 67)), (2, range(12, 17))],
