@@ -8,8 +8,8 @@ box and resolution grow together.
 
 import numpy as np
 
-from fracshape import (GridFunction, assemble_stiffness, build_grid,
-                       fourier_seminorm_sq, gagliardo_sq, make_frac_params)
+from fracshape import (FracParams, GridFunction, assemble_stiffness,
+                       build_grid, fourier_seminorm_sq, gagliardo_sq)
 
 for s in (0.3, 0.5, 0.7):
     print(f"s = {s}")
@@ -17,7 +17,7 @@ for s in (0.3, 0.5, 0.7):
         grid = build_grid(1, half_width, resolution)
         u = GridFunction(grid, np.exp(-grid.cell_centers[:, 0] ** 2))
         gag = gagliardo_sq(assemble_stiffness(grid, s), u)
-        fou = fourier_seminorm_sq(grid, make_frac_params(s, 1), u)
+        fou = fourier_seminorm_sq(grid, FracParams(s, 1), u)
         print(f"  box {2 * half_width:5.1f}, {resolution} cells: "
               f"kernel {gag:.6f}, fourier {fou:.6f}, "
               f"rel diff {abs(fou - gag) / gag:.2e}")

@@ -7,8 +7,8 @@ from .errors import (BudgetError, DomainEmptyError, FracshapeError,
                      NumericError, ParameterError, StructuralError)
 from .grid import (DomainMask, Grid, GridFunction, build_grid, empty_mask,
                    full_mask, mask_from_indices, translate_mask)
-from .forms import (StiffnessOperator, assemble_stiffness, fourier_seminorm_sq,
-                    gagliardo_sq, make_frac_params, normalization_constant,
+from .forms import (FracParams, StiffnessOperator, assemble_stiffness,
+                    fourier_seminorm_sq, gagliardo_sq, normalization_constant,
                     weighted_gagliardo_sq)
 from .solvers import (DirichletOperator, Spectrum, TorsionFunction,
                       apply_resolvent, capacity_estimate, eigenpairs,

@@ -282,9 +282,10 @@ def lieb_translation_search(base: StiffnessOperator, mask_a: DomainMask,
                             mask_b: DomainMask) -> LiebResult:
     """First lattice shift z with lambda1(A_z intersect B) <= 2(l1(A)+l1(B)).
 
-    Exhaustive lexicographic scan over all shifts keeping A_z inside the
-    box.  If no shift satisfies the bound (which would falsify the
-    discretization), the best shift found is returned with satisfied=False.
+    Exhaustive lexicographic scan over the shifts that keep A_z inside the
+    box.  That is a subset of the shifts with A_z meeting B, so a miss does
+    not refute the bound: the best in-box shift found is returned with
+    satisfied=False.
     """
     if mask_a.is_empty or mask_b.is_empty:
         raise DomainEmptyError("translation search needs two nonempty masks")

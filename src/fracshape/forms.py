@@ -1,5 +1,5 @@
 """Discrete Gagliardo energy: singular kernel weights, exterior tail, and
-the normalization constant of the fractional Laplacian.
+the closed-form normalization constant C_{s,N} of the fractional Laplacian.
 
 The quadratic form on grid functions is
 
@@ -21,13 +21,13 @@ O(h^(2-2s)), which is several percent already at s = 0.7, h ~ 1/16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
-from .errors import BudgetError, NumericError, ParameterError, StructuralError
+from .errors import BudgetError, ParameterError, StructuralError
 from .grid import Grid, GridFunction, lattice_points
 
 # Dense assembly budget.  Assembly peaks at two n x n float arrays
@@ -49,83 +49,34 @@ def _check_s(s: float) -> float:
     return float(s)
 
 
-@lru_cache(maxsize=None)
-def _norm_constant_cached(s: float, dim: int) -> float:
-    # Integrand near the origin is replaced by its zeta_1^2/2 Taylor leading
-    # term below `delta`; the relative replacement error is O(delta^2) < 1e-10.
-    delta = 1e-3
-    rtol = 1e-8
-    if dim == 1:
-        # I = 2 * int_0^inf (1 - cos z) z^(-1-2s) dz
-        head = delta ** (2.0 - 2.0 * s) / (2.0 * (2.0 - 2.0 * s))
-        mid, mid_err = integrate.quad(
-            lambda z: (1.0 - np.cos(z)) * z ** (-1.0 - 2.0 * s), delta, 1.0,
-            epsabs=0.0, epsrel=1e-12, limit=200,
-        )
-        # int_1^inf z^(-1-2s) dz = 1/(2s); oscillatory part via QAWF
-        osc, osc_err = integrate.quad(
-            lambda z: z ** (-1.0 - 2.0 * s), 1.0, np.inf,
-            weight="cos", wvar=1.0, limit=400,
-        )
-        integral = 2.0 * (head + mid + 1.0 / (2.0 * s) - osc)
-        err = 2.0 * (mid_err + osc_err)
-    else:
-        # Angular reduction: I = 2*pi * int_0^inf (1 - J0(r)) r^(-1-2s) dr
-        head = delta ** (2.0 - 2.0 * s) / (4.0 * (2.0 - 2.0 * s))
-        mid, mid_err = integrate.quad(
-            lambda r: (1.0 - special.j0(r)) * r ** (-1.0 - 2.0 * s), delta, 1.0,
-            epsabs=0.0, epsrel=1e-12, limit=200,
-        )
-        # int_1^inf J0(r) r^(-1-2s) dr: alternating panels between consecutive
-        # J0 zeros, summed with acceleration by mpmath.quadosc.
-        import mpmath
-
-        osc = float(
-            mpmath.quadosc(
-                lambda r: mpmath.besselj(0, r) * r ** (-1.0 - 2.0 * s),
-                [1, mpmath.inf],
-                zeros=lambda n: mpmath.besseljzero(0, int(n)),
-            )
-        )
-        osc_err = 1e-12 * abs(osc)
-        integral = 2.0 * np.pi * (head + mid + 1.0 / (2.0 * s) - osc)
-        err = 2.0 * np.pi * (mid_err + osc_err)
-    if not np.isfinite(integral) or integral <= 0.0:
-        raise NumericError("quadrature for C_{s,N} returned a non-positive value")
-    if err / integral > rtol:
-        raise NumericError(
-            "quadrature for C_{s,N} missed the relative tolerance",
-            achieved=err / integral,
-        )
-    return 1.0 / integral
+def _check_dim(dim: int) -> None:
+    if dim not in (1, 2):
+        raise ParameterError(f"dim must be 1 or 2, got {dim}")
 
 
 def normalization_constant(s: float, dim: int) -> float:
-    """C_{s,N} = (int (1 - cos zeta_1)/|zeta|^(dim+2s) dzeta)^(-1) by quadrature."""
+    """C_{s,N} = (int (1 - cos zeta_1)/|zeta|^(N+2s) dzeta)^(-1), N = dim.
+
+    Closed form C_{s,N} = s 4^s Gamma(N/2 + s) / (pi^(N/2) Gamma(1 - s))
+    (Di Nezza, Palatucci & Valdinoci, Hitchhiker's guide to the fractional
+    Sobolev spaces, arXiv:1104.4345, section 3).
+    """
     s = _check_s(s)
-    if dim not in (1, 2):
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
-    return _norm_constant_cached(s, dim)
+    _check_dim(dim)
+    return (s * 4.0 ** s * math.gamma(dim / 2.0 + s)
+            / (math.pi ** (dim / 2.0) * math.gamma(1.0 - s)))
 
 
 @dataclass(frozen=True)
 class FracParams:
-    """Fractional order, ambient dimension, and the normalization constant."""
+    """Fractional order and ambient dimension."""
 
     s: float
     dim: int
-    c_norm: float
 
     def __post_init__(self):
         _check_s(self.s)
-        if self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.c_norm > 0):
-            raise ParameterError(f"c_norm must be > 0, got {self.c_norm}")
-
-
-def make_frac_params(s: float, dim: int) -> FracParams:
-    return FracParams(s=float(s), dim=int(dim), c_norm=normalization_constant(s, dim))
+        _check_dim(self.dim)
 
 
 @dataclass(frozen=True)
@@ -232,8 +183,8 @@ def assemble_stiffness(grid: Grid, s: float) -> StiffnessOperator:
     # those couplings too, else the diagonal loses translation invariance
     boundary_faces = ((multi == 0) | (multi == grid.resolution - 1)).sum(axis=1)
     rho = rho + (factor - 1.0) * grid.h ** (grid.dim - 2.0 * s) * boundary_faces
-    params = make_frac_params(s, grid.dim)
-    return StiffnessOperator(grid=grid, params=params, offdiag=k, tail=rho)
+    return StiffnessOperator(grid=grid, params=FracParams(s, grid.dim),
+                             offdiag=k, tail=rho)
 
 
 def _check_same_grid(op: StiffnessOperator, u: GridFunction) -> None:
@@ -267,7 +218,7 @@ def weighted_gagliardo_sq(op: StiffnessOperator, u: GridFunction,
 def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction) -> float:
     """Frequency-side evaluation of the Gagliardo energy.
 
-    Computes (1/c_norm) * int |xi|^(2s) |Fu(xi)|^2 dxi on a zero-padded DFT
+    Computes (1/C_{s,N}) * int |xi|^(2s) |Fu(xi)|^2 dxi on a zero-padded DFT
     lattice, with Fu the angular-frequency transform and the 1/(2*pi)^dim
     Plancherel weight folded in.  The singular factor |xi|^(2s) is
     integrated exactly over each frequency bin; the remaining error comes
@@ -300,4 +251,5 @@ def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction) -> floa
         r0 = d_xi / np.sqrt(np.pi)
         weights[0, 0] = 2.0 * np.pi * r0 ** (2.0 + 2.0 * s) / (2.0 + 2.0 * s)
     total = np.sum(weights * np.abs(uhat) ** 2)
-    return float(total / ((2.0 * np.pi) ** grid.dim * params.c_norm))
+    c_norm = normalization_constant(s, grid.dim)
+    return float(total / ((2.0 * np.pi) ** grid.dim * c_norm))

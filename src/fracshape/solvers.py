@@ -28,15 +28,13 @@ EIG_RTOL = 1e-8
 DUALITY_SEED = 0x5EED   # fixed test function of the duality identity
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirichletOperator:
     """Stiffness form restricted to the active cells of a mask."""
 
     base: StiffnessOperator
     mask: DomainMask
     active_index: np.ndarray = field(repr=False)
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    _cho: tuple | None = field(default=None, repr=False)
 
     @property
     def grid(self):
@@ -46,22 +44,25 @@ class DirichletOperator:
     def n_active(self) -> int:
         return self.active_index.size
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            a = self.active_index
-            m = -self.base.offdiag[np.ix_(a, a)]
-            np.fill_diagonal(m, self.base.diag[a])
-            self._matrix = m
-        return self._matrix
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        a = self.active_index
+        m = self.base.offdiag[a[:, None], a]
+        np.negative(m, out=m)  # the gather is already a copy
+        np.fill_diagonal(m, self.base.diag[a])
+        return m
 
-    def _factor(self):
-        if self._cho is None:
-            self._cho = cho_factor(self.matrix())
-        return self._cho
+    @cached_property
+    def _cho(self) -> tuple:
+        return cho_factor(self._matrix)
+
+    def matrix(self) -> np.ndarray:
+        """Restricted matrix (cached; callers must not modify it)."""
+        return self._matrix
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct solve on active cells via the cached Cholesky factor."""
-        return cho_solve(self._factor(), rhs)
+        return cho_solve(self._cho, rhs)
 
     def scatter(self, active_values: np.ndarray) -> GridFunction:
         """Embed active-cell values into a full-grid function (zero outside)."""
@@ -145,22 +146,24 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
     """Smallest k eigenpairs of A u = lambda h^dim u on the mask, ascending.
 
     Eigenfunctions are normalized in the h^dim-weighted L2 inner product,
-    with the entry of largest modulus made positive.  Residuals are
-    ||A v - lambda v|| / |lambda| for A scaled by h^-dim.
+    with the entry of largest modulus made positive.  `eigh` runs on the
+    cached, unscaled A (not overwritten: `solve` reuses it) and returns
+    mu = lambda h^dim.  Residuals are ||A v - mu v|| / |mu|, the same as for
+    A / h^dim.
     """
     n = op.n_active
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     h_meas = op.grid.cell_volume
-    a_mat = op.matrix() / h_meas
-    vals, vecs = eigh(a_mat, subset_by_index=[0, k - 1])
-    residuals = np.linalg.norm(a_mat @ vecs - vecs * vals, axis=0) / np.abs(vals)
+    a_mat = op.matrix()
+    mu, vecs = eigh(a_mat, subset_by_index=[0, k - 1])
+    residuals = np.linalg.norm(a_mat @ vecs - vecs * mu, axis=0) / np.abs(mu)
     if np.any(residuals > EIG_RTOL):
         raise NumericError("eigensolver missed the residual tolerance",
                            achieved=float(np.max(residuals)))
     # eigh returns unit vectors: rescale to unit h^dim-weighted L2 norm
     vecs = vecs / np.sqrt(h_meas)
-    return Spectrum(eigenvalues=vals, residuals=residuals, op=op, vectors=vecs)
+    return Spectrum(eigenvalues=mu / h_meas, residuals=residuals, op=op, vectors=vecs)
 
 
 def eigenvalues_or_inf(base: StiffnessOperator, mask: DomainMask, k: int) -> np.ndarray:

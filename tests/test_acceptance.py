@@ -15,9 +15,9 @@ from fracshape.concentration import (cutoff_defect, dichotomy_split,
                                      separating_pair_sequence,
                                      translating_bump_sequence, classify)
 from fracshape.cli import run_experiment
-from fracshape.forms import (adjacent_correction_factor, assemble_stiffness,
-                             fourier_seminorm_sq, gagliardo_sq,
-                             make_frac_params)
+from fracshape.forms import (FracParams, adjacent_correction_factor,
+                             assemble_stiffness, fourier_seminorm_sq,
+                             gagliardo_sq)
 from fracshape.grid import (DomainMask, GridFunction, build_grid,
                             mask_from_indices)
 from fracshape.shapeopt import (ball_mask, connected_components,
@@ -72,7 +72,7 @@ def test_criterion_02_fourier_identity():
             g = build_grid(1, half_width, res)
             u = GridFunction(g, np.exp(-g.cell_centers[:, 0] ** 2))
             gag = gagliardo_sq(assemble_stiffness(g, s), u)
-            fou = fourier_seminorm_sq(g, make_frac_params(s, 1), u)
+            fou = fourier_seminorm_sq(g, FracParams(s, 1), u)
             errs.append(abs(fou - gag) / gag)
         assert errs[0] <= 0.05 and errs[1] <= 0.05
         assert errs[1] < errs[0]

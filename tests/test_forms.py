@@ -1,16 +1,20 @@
+import math
 import tracemalloc
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 from scipy.spatial.distance import cdist
 
 from fracshape.errors import BudgetError, NumericError, ParameterError
-from fracshape.forms import (PADDING, _exterior_tail, adjacent_correction_factor,
-                             assemble_stiffness, fourier_seminorm_sq, gagliardo_sq,
-                             make_frac_params, normalization_constant,
-                             weighted_gagliardo_sq)
+from fracshape.forms import (PADDING, FracParams, _exterior_tail,
+                             adjacent_correction_factor, assemble_stiffness,
+                             fourier_seminorm_sq, gagliardo_sq,
+                             normalization_constant, weighted_gagliardo_sq)
 from fracshape.grid import GridFunction, build_grid, full_mask, lattice_points
 from fracshape.solvers import eigenpairs, restrict
 
@@ -64,11 +68,76 @@ def test_normalization_constant_quadrature_doubling(dim, s):
     assert errs[1] < errs[0]
 
 
+@lru_cache(maxsize=None)
+def oscillatory_norm_integral(s, dim):
+    """Adaptive quadrature of the kernel integral defining 1/C(s, dim).
+
+    The integrand is replaced by its zeta_1^2/2 Taylor term below delta
+    (relative error O(delta^2)).  1D: QUADPACK up to 1, then the cosine
+    weight (QAWF) on the tail.  2D, after the angular reduction
+    2 pi int (1 - J0(r)) r^(-1-2s) dr: QUADPACK up to 1, then mpmath.quadosc
+    over the J0 zeros.  Returns the integral and its error estimate.
+    """
+    delta = 1e-3
+    if dim == 1:
+        head = delta ** (2.0 - 2.0 * s) / (2.0 * (2.0 - 2.0 * s))
+        mid, mid_err = integrate.quad(
+            lambda z: (1.0 - np.cos(z)) * z ** (-1.0 - 2.0 * s), delta, 1.0,
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        # int_1^inf z^(-1-2s) dz = 1/(2s), less its cosine-weighted part
+        osc, osc_err = integrate.quad(
+            lambda z: z ** (-1.0 - 2.0 * s), 1.0, np.inf,
+            weight="cos", wvar=1.0, limit=400,
+        )
+        scale = 2.0
+    else:
+        head = delta ** (2.0 - 2.0 * s) / (4.0 * (2.0 - 2.0 * s))
+        mid, mid_err = integrate.quad(
+            lambda r: (1.0 - special.j0(r)) * r ** (-1.0 - 2.0 * s), delta, 1.0,
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        osc = float(mpmath.quadosc(
+            lambda r: mpmath.besselj(0, r) * r ** (-1.0 - 2.0 * s),
+            [1, mpmath.inf],
+            zeros=lambda n: mpmath.besseljzero(0, int(n)),
+        ))
+        osc_err = 1e-12 * abs(osc)
+        scale = 2.0 * np.pi
+    integral = scale * (head + mid + 1.0 / (2.0 * s) - osc)
+    return integral, scale * (mid_err + osc_err)
+
+
+NORM_RTOL = 1e-8
+NORM_CASES = [(dim, s) for dim in (1, 2) for s in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+
+def norm_constant_error(dim, s, value):
+    integral, err = oscillatory_norm_integral(s, dim)
+    assert err / integral < NORM_RTOL
+    return abs(value * integral - 1.0)
+
+
+@pytest.mark.parametrize("dim,s", NORM_CASES)
+def test_normalization_constant_matches_quadrature(dim, s):
+    assert norm_constant_error(dim, s, normalization_constant(s, dim)) < NORM_RTOL
+
+
+@pytest.mark.parametrize("dim,s", NORM_CASES)
+def test_normalization_constant_oracle_negative_control(dim, s):
+    # the closed form with Gamma(1 + s) in place of Gamma(1 - s)
+    wrong = (s * 4.0 ** s * math.gamma(dim / 2.0 + s)
+             / (math.pi ** (dim / 2.0) * math.gamma(1.0 + s)))
+    assert norm_constant_error(dim, s, wrong) > 0.12
+
+
 def test_normalization_constant_rejects_bad_s():
     with pytest.raises(ParameterError):
         normalization_constant(0.0, 1)
     with pytest.raises(ParameterError):
         normalization_constant(1.0, 2)
+    with pytest.raises(ParameterError):
+        normalization_constant(0.5, 3)
 
 
 def test_adjacent_coupling_raw_value():
@@ -199,7 +268,7 @@ def test_fourier_identity_gaussian():
         u = GridFunction(g, np.exp(-g.cell_centers[:, 0] ** 2))
         op = assemble_stiffness(g, s)
         gag = gagliardo_sq(op, u)
-        fou = fourier_seminorm_sq(g, make_frac_params(s, 1), u)
+        fou = fourier_seminorm_sq(g, FracParams(s, 1), u)
         assert abs(fou - gag) / gag < 0.05
 
 
@@ -208,7 +277,7 @@ def test_fourier_identity_2d():
     u = GridFunction(g, np.exp(-(g.cell_centers ** 2).sum(axis=1)))
     op = assemble_stiffness(g, 0.5)
     gag = gagliardo_sq(op, u)
-    fou = fourier_seminorm_sq(g, make_frac_params(0.5, 2), u)
+    fou = fourier_seminorm_sq(g, FracParams(0.5, 2), u)
     assert abs(fou - gag) / gag < 0.05
 
 
@@ -256,4 +325,4 @@ def test_fourier_rejects_wrong_params():
     g = build_grid(1, 4.0, 32)
     u = GridFunction(g, np.ones(32))
     with pytest.raises(ParameterError):
-        fourier_seminorm_sq(g, make_frac_params(0.5, 2), u)
+        fourier_seminorm_sq(g, FracParams(0.5, 2), u)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,21 @@ def test_eigenpairs_degenerate_pair_full_square(base_2d):
     vecs = np.column_stack([f.values for f in spec.eigenfunctions])
     gram = g.cell_volume * vecs.T @ vecs
     assert np.abs(gram - np.eye(4)).max() < 1e-12
+
+
+def test_eigenpairs_peak_memory():
+    # eigh works on its own copy of the cached matrix; no scaled n x n copy
+    # comes on top of it
+    g = build_grid(2, 4.0, 32)
+    op = restrict(assemble_stiffness(g, 0.5), full_mask(g))
+    op.matrix()
+    tracemalloc.start()
+    try:
+        eigenpairs(op, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * g.n_cells ** 2
 
 
 def test_first_eigenfunction_nonnegative(base_64):
