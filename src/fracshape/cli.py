@@ -78,6 +78,8 @@ def validate_config(kind: str, config: dict) -> dict:
         if kind != "grid" and grid.n_cells > MAX_DENSE_CELLS:
             _fail("grid", f"{grid.n_cells} cells, over the dense-assembly "
                           f"budget of {MAX_DENSE_CELLS}")
+        if "mask" in config:
+            _build_mask(grid, config["mask"])
     if "s" in config and not (isinstance(config["s"], (int, float))
                               and 0 < config["s"] < 1):
         _fail("s", f"must lie in (0, 1), got {config['s']}")
@@ -111,7 +113,11 @@ def _build_mask(grid, spec) -> DomainMask:
         return shapeopt.ball_mask(grid, spec["center"],
                                   spec["volume_cells"] * grid.cell_volume)
     if isinstance(spec, dict) and spec.get("type") == "indices":
-        return mask_from_indices(grid, spec["indices"])
+        idx = spec.get("indices")
+        if not (isinstance(idx, list) and all(type(i) is int for i in idx)
+                and all(0 <= i < grid.n_cells for i in idx)):
+            _fail("mask", f"indices must be integers in [0, {grid.n_cells})")
+        return mask_from_indices(grid, idx)
     _fail("mask", "must be 'full', a ball spec, or an index list")
 
 

@@ -10,6 +10,8 @@ diagonal term) and rho_i the exterior-tail weight coming from the zero
 extension outside the box.  Q counts each unordered cell pair once, i.e.
 it discretizes one half of the symmetric double integral; the Fourier-side
 evaluation below uses the same convention so the two routes agree.
+Q(u) = u^T A u for the box matrix A (A_ij = -k_ij, A_ii = sum_j k_ij +
+rho_i), stored once; every Dirichlet operator is a principal submatrix.
 
 Face-adjacent couplings carry an extra factor 1 + c(s, dim) that restores
 the near-field energy the bare mid-point rule misses (the lattice sum
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .errors import BudgetError, ParameterError, StructuralError
 from .grid import Grid, GridFunction, lattice_points
 
 # Dense assembly budget.  Assembly peaks at two n x n float arrays
-# (tracemalloc: 16 MiB on a 2D 32^2 grid, 256 MiB at 64^2, this size); the
-# solvers' restricted copies and factors add a few more.
+# (tracemalloc: 16 MiB on a 2D 32^2 grid, 256 MiB at 64^2, this size) and
+# keeps one, A; the solvers' restricted copies and factors add a few more.
 # cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
 MAX_DENSE_CELLS = 4096
 # The exterior-tail shell and the Fourier-side DFT lattice span PADDING
@@ -83,28 +85,27 @@ class FracParams:
 class StiffnessOperator:
     """Symmetric positive-definite form of the discrete Gagliardo energy.
 
-    offdiag holds the full symmetric coupling matrix k_ij (zero diagonal);
+    box_matrix is the read-only box matrix A (A_ij = -k_ij, A_ii = sum_j k_ij
+    + rho_i), a Stieltjes M-matrix; read it through matrix(), apply(), diag.
     tail holds the strictly positive per-cell exterior weights rho_i.
     """
 
     grid: Grid
     params: FracParams
-    offdiag: np.ndarray = field(repr=False)
+    box_matrix: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)
 
-    @cached_property
+    @property
     def diag(self) -> np.ndarray:
-        """d_i = sum_j k_ij + rho_i."""
-        return self.offdiag.sum(axis=1) + self.tail
+        """d_i = sum_j k_ij + rho_i (a read-only view)."""
+        return np.diagonal(self.box_matrix)
 
     def matrix(self) -> np.ndarray:
-        """Dense matrix A with A_ij = -k_ij and A_ii = d_i (M-matrix)."""
-        a = -self.offdiag.copy()
-        np.fill_diagonal(a, self.diag)
-        return a
+        """The box matrix A itself: read-only; do not copy."""
+        return self.box_matrix
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.diag * u - self.offdiag @ u
+        return self.box_matrix @ u
 
 
 def _exterior_tail(grid: Grid, s: float, row_sums: np.ndarray) -> np.ndarray:
@@ -183,8 +184,12 @@ def assemble_stiffness(grid: Grid, s: float) -> StiffnessOperator:
     # those couplings too, else the diagonal loses translation invariance
     boundary_faces = ((multi == 0) | (multi == grid.resolution - 1)).sum(axis=1)
     rho = rho + (factor - 1.0) * grid.h ** (grid.dim - 2.0 * s) * boundary_faces
+    # finish A = diag(sum_j k_ij + rho_i) - k in place of k
+    d = k.sum(axis=1) + rho
+    np.fill_diagonal(np.negative(k, out=k), d)
+    k.flags.writeable = False
     return StiffnessOperator(grid=grid, params=FracParams(s, grid.dim),
-                             offdiag=k, tail=rho)
+                             box_matrix=k, tail=rho)
 
 
 def _check_same_grid(op: StiffnessOperator, u: GridFunction) -> None:
@@ -209,10 +214,10 @@ def weighted_gagliardo_sq(op: StiffnessOperator, u: GridFunction,
     _check_same_grid(op, u)
     v = u.values
     w2 = np.asarray(weights, dtype=float) ** 2
-    k = op.offdiag
-    row = k.sum(axis=1)
-    pair = 0.5 * np.dot(w2, v * v * row - 2.0 * v * (k @ v) + k @ (v * v))
-    return float(pair + np.dot(op.tail * w2, v * v))
+    # with A = diag(row + rho) - k the pair sum needs no row sums of k
+    v2 = v * v
+    return float(np.dot(w2, v * op.apply(v) - 0.5 * op.apply(v2)
+                        + 0.5 * op.tail * v2))
 
 
 def fourier_seminorm_sq(grid: Grid, params: FracParams, u: GridFunction) -> float:

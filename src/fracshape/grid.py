@@ -207,16 +207,10 @@ def grid_from_json(obj: dict) -> Grid:
 
 def _rle_encode(bits: np.ndarray) -> str:
     """Run-length encoding: alternating run lengths, starting with zeros."""
-    runs = []
-    current, count = False, 0
-    for b in bits:
-        if bool(b) == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = bool(b), 1
-    runs.append(count)
-    return ",".join(str(r) for r in runs)
+    bits = np.asarray(bits, dtype=bool)
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    runs = np.diff(np.concatenate([[0], edges, [bits.size]])).tolist()
+    return ",".join(str(r) for r in ([0] if bits[0] else []) + runs)
 
 
 def _rle_decode(text: str, length: int) -> np.ndarray:

@@ -27,6 +27,8 @@ from .solvers import (DirichletOperator, TorsionFunction, eigenpairs,
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
 CAUCHY_FRACTION = 0.02          # relative torsion spread for a compactness verdict
+# face-neighbour (cross) structuring element of each grid dimension
+FACE_STRUCTURE = {dim: ndimage.generate_binary_structure(dim, 1) for dim in (1, 2)}
 
 
 # --- functional grammar -------------------------------------------------------
@@ -214,8 +216,8 @@ def _boundary_cells(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """Active cells with at least one inactive face neighbor (box exterior
     counts as inactive)."""
     arr = cells.reshape(grid.shape)
-    cross = ndimage.generate_binary_structure(grid.dim, 1)
-    return np.flatnonzero(arr & ~ndimage.binary_erosion(arr, cross, border_value=0))
+    erosion = ndimage.binary_erosion(arr, FACE_STRUCTURE[grid.dim], border_value=0)
+    return np.flatnonzero(arr & ~erosion)
 
 
 def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
@@ -302,8 +304,7 @@ class DichotomyReport:
 def connected_components(mask: DomainMask) -> list:
     """Face-adjacent lattice components as index arrays, largest first."""
     grid = mask.grid
-    structure = ndimage.generate_binary_structure(grid.dim, 1)
-    labels, n = ndimage.label(mask.cells.reshape(grid.shape), structure=structure)
+    labels, n = ndimage.label(mask.cells.reshape(grid.shape), FACE_STRUCTURE[grid.dim])
     flat = labels.ravel()
     comps = [np.flatnonzero(flat == i) for i in range(1, n + 1)]
     return sorted(comps, key=lambda idx: (-idx.size, idx[0]))

@@ -1,9 +1,9 @@
 """Dirichlet-restricted operators and their solvers.
 
-Restricting the stiffness form to a cell mask keeps the principal submatrix
-on active cells; couplings to inactive cells stay in the diagonal (they
-contribute k_ij u_i^2 because u_j = 0 there), so the restriction is always
-strictly positive definite.
+Restricting the stiffness form to a cell mask is one gather: the principal
+submatrix of the box matrix A on the active cells.  Couplings to inactive
+cells already sit in A's diagonal (they contribute k_ij u_i^2 because
+u_j = 0 there), so the restriction is always strictly positive definite.
 
 Everything here is dense LAPACK on the restricted matrix: linear systems go
 through its cached Cholesky factor, eigenpairs through a subset `eigh`, and
@@ -47,9 +47,8 @@ class DirichletOperator:
     @cached_property
     def _matrix(self) -> np.ndarray:
         a = self.active_index
-        m = self.base.offdiag[a[:, None], a]
-        np.negative(m, out=m)  # the gather is already a copy
-        np.fill_diagonal(m, self.base.diag[a])
+        m = self.base.matrix()[a[:, None], a]
+        m.flags.writeable = False
         return m
 
     @cached_property
@@ -57,7 +56,7 @@ class DirichletOperator:
         return cho_factor(self._matrix)
 
     def matrix(self) -> np.ndarray:
-        """Restricted matrix (cached; callers must not modify it)."""
+        """Restricted matrix: cached and read-only; do not copy."""
         return self._matrix
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -283,9 +282,8 @@ def capacity_estimate(base: StiffnessOperator, mask: DomainMask) -> float:
         raise ParameterError(
             "mask must keep at least one cell of margin to the box boundary"
         )
-    a_mat = base.matrix()
-    on, off = mask.cells, ~mask.cells
+    off = DomainMask(grid, ~mask.cells)
     u = np.ones(grid.n_cells)
-    u[off] = cho_solve(cho_factor(a_mat[np.ix_(off, off)]),
-                       -a_mat[np.ix_(off, on)].sum(axis=1))
-    return float(u @ (a_mat @ u))
+    coupling = base.matrix()[np.ix_(off.cells, mask.cells)].sum(axis=1)
+    u[off.cells] = restrict(base, off).solve(-coupling)
+    return float(u @ base.apply(u))

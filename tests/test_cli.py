@@ -144,15 +144,41 @@ def test_run_audit_passes(tmp_path):
 
 
 def test_audit_negative_control():
-    # corrupt the coupling matrix and confirm the symmetry check names it
+    # corrupt the box matrix and confirm the symmetry check names it
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
-    k = base.offdiag.copy()
-    k[3, 9] *= 2.0
-    broken = StiffnessOperator(base.grid, base.params, k, base.tail)
+    a = base.matrix().copy()
+    a[3, 9] *= 2.0
+    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
     result = check_stiffness_symmetry(broken, 0)
     assert result.name == "stiffness_symmetry"
     assert not result.passed
     assert result.worst_slack < 0
+
+
+def test_audit_sign_negative_control():
+    # a symmetric pair of positive off-diagonal entries breaks the M-matrix
+    # sign pattern without breaking symmetry
+    base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
+    a = base.matrix().copy()
+    a[3, 9] = a[9, 3] = -a[3, 9]
+    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
+    result = check_stiffness_symmetry(broken, 0)
+    assert not result.passed
+    assert result.worst_slack < 0
+
+
+@pytest.mark.parametrize("rel", [0.5e-14, 2e-14])
+def test_audit_symmetry_passed_follows_slack(rel):
+    # a small 2D box at small s has every entry of A below 1; the verdict
+    # and the slack must still agree on either side of the threshold
+    base = assemble_stiffness(build_grid(2, 0.5, 8), 0.1)
+    a = base.matrix().copy()
+    assert np.abs(a).max() < 1.0
+    a[3, 9] += rel * np.abs(a).max()
+    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
+    result = check_stiffness_symmetry(broken, 0)
+    assert result.passed == (rel < 1e-14)
+    assert result.passed == (result.worst_slack > 0)
 
 
 def test_run_audit_passes_2d(tmp_path):
@@ -174,9 +200,9 @@ def test_cutoff_decay_negative_control(monkeypatch):
 
 def test_audit_cli_exit_3_on_failure(tmp_path, monkeypatch):
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
-    k = base.offdiag.copy()
-    k[3, 9] *= 2.0
-    broken = StiffnessOperator(base.grid, base.params, k, base.tail)
+    a = base.matrix().copy()
+    a[3, 9] *= 2.0
+    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
 
     import fracshape.cli as cli_mod
 
@@ -214,6 +240,16 @@ def test_main_rejects_grid_over_dense_budget(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     # the grid subcommand assembles nothing and keeps the larger budget
     validate_config("grid", {"grid": big})
+
+
+@pytest.mark.parametrize("indices", [[5000], [-1, -2]])
+def test_main_rejects_mask_index_off_grid(tmp_path, capsys, indices):
+    mask = {"type": "indices", "indices": indices}
+    cfg = _write_config(tmp_path, {"grid": GRID, "s": 0.5, "mask": mask, "k": 1})
+    rc = main(["eig", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'mask'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_list_checks(capsys):

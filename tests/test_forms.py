@@ -19,8 +19,9 @@ from fracshape.grid import GridFunction, build_grid, full_mask, lattice_points
 from fracshape.solvers import eigenpairs, restrict
 
 
-def brute_force_pair_energy(grid, s, u, corrected=True):
-    """Independent double loop over unordered cell pairs."""
+def brute_force_pair_energy(grid, s, u, corrected=True, pair_weight=None):
+    """Independent double loop over unordered cell pairs; `pair_weight(i, j)`
+    multiplies each pair's term (1 when omitted)."""
     centers = grid.cell_centers
     factor = adjacent_correction_factor(s, grid.dim) if corrected else 1.0
     total = 0.0
@@ -32,6 +33,8 @@ def brute_force_pair_energy(grid, s, u, corrected=True):
             k = grid.h ** (2 * grid.dim) * d ** (-(grid.dim + 2 * s))
             if np.abs(multi[i] - multi[j]).sum() == 1:
                 k *= factor
+            if pair_weight is not None:
+                k *= pair_weight(i, j)
             total += k * (u[i] - u[j]) ** 2
     return total
 
@@ -146,7 +149,7 @@ def test_adjacent_coupling_raw_value():
     g = build_grid(1, 1.0, 2)
     op = assemble_stiffness(g, 0.5)
     factor = adjacent_correction_factor(0.5, 1)
-    assert op.offdiag[0, 1] / factor == pytest.approx(1.0, rel=1e-14)
+    assert -op.matrix()[0, 1] / factor == pytest.approx(1.0, rel=1e-14)
     assert factor == pytest.approx(1.5, rel=1e-12)
 
 
@@ -299,6 +302,26 @@ def test_weighted_form_bounded_by_plain():
     assert weighted_gagliardo_sq(op, u, weights) <= gagliardo_sq(op, u) + 1e-12
 
 
+@pytest.mark.parametrize("dim,res,s", [(1, 32, 0.3), (2, 6, 0.5)])
+def test_weighted_form_matches_brute_force(dim, res, s):
+    # symmetrized pair weight (w_i^2 + w_j^2)/2 and the w^2-weighted tail
+    g = build_grid(dim, 2.0, res)
+    op = assemble_stiffness(g, s)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(g.n_cells)
+    w = rng.uniform(0.0, 2.0, g.n_cells)
+    w2 = w ** 2
+    tail = np.dot(op.tail * w2, vals ** 2)
+    got = weighted_gagliardo_sq(op, GridFunction(g, vals), w)
+    expected = tail + brute_force_pair_energy(
+        g, s, vals, pair_weight=lambda i, j: (w2[i] + w2[j]) / 2.0)
+    assert got == pytest.approx(expected, rel=1e-12)
+    # negative control: the product weight w_i w_j is a different form
+    product = tail + brute_force_pair_energy(
+        g, s, vals, pair_weight=lambda i, j: w[i] * w[j])
+    assert got != pytest.approx(product, rel=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
        st.integers(min_value=0, max_value=1_000_000))
@@ -315,10 +338,31 @@ def test_gagliardo_homogeneity_and_positivity(scale, seed):
 def test_stiffness_symmetry_and_signs():
     for dim, res in [(1, 48), (2, 8)]:
         op = assemble_stiffness(build_grid(dim, 2.0, res), 0.4)
-        assert np.abs(op.offdiag - op.offdiag.T).max() == 0.0
-        assert np.all(op.offdiag >= 0.0)
+        a = op.matrix()
+        assert np.abs(a - a.T).max() == 0.0
+        assert np.all(a[~np.eye(len(a), dtype=bool)] <= 0.0)
         assert np.all(op.tail > 0.0)
-        assert np.all(np.diag(op.offdiag) == 0.0)
+        # couplings leave the diagonal balanced: column sums are the tail
+        rounding = len(a) * np.finfo(float).eps * np.abs(a).max()
+        assert np.abs(a.sum(axis=0) - op.tail).max() <= rounding
+
+
+def test_box_matrix_is_stored_once_and_read_only():
+    g = build_grid(2, 4.0, 32)
+    op = assemble_stiffness(g, 0.5)
+    tracemalloc.start()
+    try:
+        a = op.matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * a.nbytes
+    assert a is op.matrix()
+    with pytest.raises(ValueError):
+        a[0, 1] = 0.0
+    sub = restrict(op, full_mask(g)).matrix()
+    with pytest.raises(ValueError):
+        sub[0, 0] = 0.0
 
 
 def test_fourier_rejects_wrong_params():

@@ -61,7 +61,7 @@ def test_eval_two_far_cells_splitting(base_64):
     mask = mask_from_indices(g, [10, 54])
     lam2 = eval_functional(spec2, base_64, mask)
     d10, d54 = base_64.diag[10], base_64.diag[54]
-    k = base_64.offdiag[10, 54]
+    k = -base_64.matrix()[10, 54]
     avg = (d10 + d54) / 2.0
     assert lam2 == pytest.approx((avg + k) / g.cell_volume, rel=1e-6)
     lam1 = eval_functional(make_functional("l1", 1, "l1"), base_64, mask)
