@@ -79,7 +79,14 @@ def validate_config(kind: str, config: dict) -> dict:
             _fail("grid", f"{grid.n_cells} cells, over the dense-assembly "
                           f"budget of {MAX_DENSE_CELLS}")
         if "mask" in config:
-            _build_mask(grid, config["mask"])
+            n_active = _build_mask(grid, config["mask"]).n_active
+            if "k" in config and not _int_in(config["k"], 1, n_active):
+                _fail("k", f"must be an integer in [1, {n_active}] (the mask's "
+                           f"cell count), got {config['k']!r}")
+        if "volume_cells" in config and not _int_in(config["volume_cells"], 2,
+                                                    grid.n_cells):
+            _fail("volume_cells", f"must be an integer in [2, {grid.n_cells}], "
+                                  f"got {config['volume_cells']!r}")
     if "s" in config and not (isinstance(config["s"], (int, float))
                               and 0 < config["s"] < 1):
         _fail("s", f"must lie in (0, 1), got {config['s']}")
@@ -106,17 +113,27 @@ def validate_config(kind: str, config: dict) -> dict:
     return config
 
 
+def _int_in(value, lo: int, hi: int) -> bool:
+    return type(value) is int and lo <= value <= hi
+
+
 def _build_mask(grid, spec) -> DomainMask:
     if spec == "full":
         return full_mask(grid)
     if isinstance(spec, dict) and spec.get("type") == "ball":
-        return shapeopt.ball_mask(grid, spec["center"],
-                                  spec["volume_cells"] * grid.cell_volume)
+        center, cells = spec.get("center"), spec.get("volume_cells")
+        if not (isinstance(center, list) and len(center) == grid.dim
+                and all(type(x) in (int, float) for x in center)):
+            _fail("mask.center", f"must be a list of {grid.dim} numbers")
+        if not _int_in(cells, 1, grid.n_cells):
+            _fail("mask.volume_cells", f"must be an integer in [1, {grid.n_cells}]")
+        return shapeopt.ball_mask(grid, center, cells * grid.cell_volume)
     if isinstance(spec, dict) and spec.get("type") == "indices":
         idx = spec.get("indices")
-        if not (isinstance(idx, list) and all(type(i) is int for i in idx)
-                and all(0 <= i < grid.n_cells for i in idx)):
-            _fail("mask", f"indices must be integers in [0, {grid.n_cells})")
+        if not (isinstance(idx, list) and idx
+                and all(_int_in(i, 0, grid.n_cells - 1) for i in idx)):
+            _fail("mask", f"indices must be a nonempty list of integers in "
+                          f"[0, {grid.n_cells})")
         return mask_from_indices(grid, idx)
     _fail("mask", "must be 'full', a ball spec, or an index list")
 

@@ -20,14 +20,15 @@ from .errors import DomainEmptyError, ParameterError, StructuralError
 from .forms import StiffnessOperator, assemble_stiffness
 from .grid import (DomainMask, Grid, GridFunction, distances_from, l2_distance,
                    mask_from_indices)
-from .solvers import (DirichletOperator, TorsionFunction, eigenpairs,
-                      eigenvalues_or_inf, resolvent_norm_diff, restrict,
-                      solve_torsion)
+from .solvers import (DirichletOperator, TorsionFunction, _lowest_eigh,
+                      eigenpairs, eigenvalues_or_inf, resolvent_norm_diff,
+                      restrict, solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
 CAUCHY_FRACTION = 0.02          # relative torsion spread for a compactness verdict
-# face-neighbour (cross) structuring element of each grid dimension
+# face-neighbour (cross) structuring element of each grid dimension, for
+# connected components
 FACE_STRUCTURE = {dim: ndimage.generate_binary_structure(dim, 1) for dim in (1, 2)}
 
 
@@ -212,12 +213,32 @@ class ShapeTrajectory:
     move_log: list
 
 
-def _boundary_cells(grid: Grid, cells: np.ndarray) -> np.ndarray:
-    """Active cells with at least one inactive face neighbor (box exterior
-    counts as inactive)."""
-    arr = cells.reshape(grid.shape)
-    erosion = ndimage.binary_erosion(arr, FACE_STRUCTURE[grid.dim], border_value=0)
-    return np.flatnonzero(arr & ~erosion)
+def _neighbour_table(grid: Grid) -> np.ndarray:
+    """(n_cells, 2 dim) flat indices of each cell's face neighbours; a
+    neighbour outside the box is the extra slot n_cells."""
+    r = grid.resolution
+    padded = np.pad(np.arange(grid.n_cells).reshape(grid.shape), 1,
+                    constant_values=grid.n_cells)
+    columns = []
+    for axis in range(grid.dim):
+        for step in (-1, 1):
+            window = [slice(1, r + 1)] * grid.dim
+            window[axis] = slice(1 + step, r + 1 + step)
+            columns.append(padded[tuple(window)].ravel())
+    return np.stack(columns, axis=1)
+
+
+def _move_counts(counts: np.ndarray, neighbours: np.ndarray,
+                 removed: int, inserted: int) -> None:
+    """Update the active-neighbour counts for one accepted exchange move."""
+    counts[neighbours[removed]] -= 1
+    counts[neighbours[inserted]] += 1
+
+
+def _counted_boundary(cells: np.ndarray, counts: np.ndarray, dim: int) -> np.ndarray:
+    """Active cells with fewer than 2 dim active face neighbours (the box
+    exterior counts as inactive)."""
+    return np.flatnonzero(cells & (counts[:cells.size] < 2 * dim))
 
 
 def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
@@ -228,6 +249,14 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     Each move removes one boundary cell and inserts one currently inactive
     cell; downhill moves are always accepted, uphill moves with probability
     exp(-dJ / T_j).  Deterministic for a given seed.
+
+    A move does only what its value needs: the boundary is read off
+    active-neighbour counts, which change only on accepted moves; the
+    proposal's matrix is one gather of the box matrix on the sorted active
+    cells; and its eigenvalues come from `solvers._lowest_eigh`, the LAPACK
+    call and residual check that `eigenpairs` makes.  So every value is
+    `eval_functional`'s to the bit, and a walk is the same for a given seed
+    as one built from `eval_functional` and a morphological boundary.
     """
     grid = base.grid
     m = int(round(c / grid.cell_volume))
@@ -243,27 +272,41 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     rng = np.random.default_rng(seed)
     cells = np.zeros(grid.n_cells, dtype=bool)
     cells[rng.choice(grid.n_cells, m, replace=False)] = True
-    value = eval_functional(spec, base, DomainMask(grid, cells))
+    box = base.matrix()
+    h_meas = grid.cell_volume
+    kk = min(spec.k, m)
+    beyond = np.full(spec.k - kk, np.inf)   # lambda_j = +inf for j > m
+
+    def evaluate() -> float:
+        a = np.flatnonzero(cells)
+        mu = _lowest_eigh(box[a[:, None], a], kk)[0]
+        return float(_eval_node(spec._tree.body, np.concatenate([mu / h_meas, beyond])))
+
+    neighbours = _neighbour_table(grid)
+    counts = np.zeros(grid.n_cells + 1, dtype=np.intp)
+    counts[:-1] = np.append(cells, False)[neighbours].sum(axis=1)
+    value = evaluate()
     t0 = schedule.t0_factor * abs(value) if np.isfinite(value) else 1.0
     masks = [DomainMask(grid, cells.copy())]
     values = [value]
     move_log = []
     best = value
     for j in range(int(iterations)):
-        boundary = _boundary_cells(grid, cells)
-        if boundary.size == 0:
-            break
-        out_cell = int(rng.choice(boundary))
+        boundary = _counted_boundary(cells, counts, grid.dim)
         inactive = np.flatnonzero(~cells)
-        in_cell = int(rng.choice(inactive))
+        if boundary.size == 0 or inactive.size == 0:
+            break
+        out_cell = int(boundary[rng.integers(boundary.size)])
+        in_cell = int(inactive[rng.integers(inactive.size)])
         cells[out_cell] = False
         cells[in_cell] = True
-        new_value = eval_functional(spec, base, DomainMask(grid, cells))
+        new_value = evaluate()
         delta = new_value - value
         temp = t0 * schedule.decay ** j
         accept = delta < 0 or (temp > 0 and np.isfinite(delta)
                                and rng.random() < np.exp(-delta / temp))
         if accept:
+            _move_counts(counts, neighbours, out_cell, in_cell)
             value = new_value
             move_log.append({"iteration": j, "removed": out_cell,
                              "inserted": in_cell, "value": value})

@@ -6,7 +6,8 @@ cells already sit in A's diagonal (they contribute k_ij u_i^2 because
 u_j = 0 there), so the restriction is always strictly positive definite.
 
 Everything here is dense LAPACK on the restricted matrix: linear systems go
-through its cached Cholesky factor, eigenpairs through a subset `eigh`, and
+through its cached Cholesky factor, eigenpairs through one subset `dsyevr`
+call site (`_lowest_eigh`, shared with the annealing loop), and
 resolvent-difference norms through `eigvalsh` of the symmetric difference.
 Each result is checked against a residual tolerance.
 """
@@ -14,10 +15,10 @@ Each result is checked against a residual tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
+from scipy.linalg import cho_factor, cho_solve, eigvalsh, get_lapack_funcs
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator
@@ -26,6 +27,8 @@ from .grid import DomainMask, GridFunction, l2_distance
 SOLVE_RTOL = 1e-10
 EIG_RTOL = 1e-8
 DUALITY_SEED = 0x5EED   # fixed test function of the duality identity
+# the LAPACK driver behind scipy.linalg.eigh(a, subset_by_index=...)
+_SYEVR, _SYEVR_LWORK = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,8 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
     """Smallest k eigenpairs of A u = lambda h^dim u on the mask, ascending.
 
     Eigenfunctions are normalized in the h^dim-weighted L2 inner product,
-    with the entry of largest modulus made positive.  `eigh` runs on the
-    cached, unscaled A (not overwritten: `solve` reuses it) and returns
+    with the entry of largest modulus made positive.  `_lowest_eigh` runs on
+    the cached, unscaled A (not overwritten: `solve` reuses it) and returns
     mu = lambda h^dim.  Residuals are ||A v - mu v|| / |mu|, the same as for
     A / h^dim.
     """
@@ -154,15 +157,44 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     h_meas = op.grid.cell_volume
-    a_mat = op.matrix()
-    mu, vecs = eigh(a_mat, subset_by_index=[0, k - 1])
+    mu, vecs, residuals = _lowest_eigh(op.matrix(), k)
+    # dsyevr returns unit vectors: rescale to unit h^dim-weighted L2 norm
+    vecs = vecs / np.sqrt(h_meas)
+    return Spectrum(eigenvalues=mu / h_meas, residuals=residuals, op=op, vectors=vecs)
+
+
+@cache
+def _syevr_workspace(n: int) -> tuple:
+    """LAPACK's optimal (lwork, liwork) of dsyevr at size n."""
+    work, iwork, info = _SYEVR_LWORK(n, lower=1)
+    if info != 0:
+        raise NumericError(f"dsyevr workspace query failed: info = {info}")
+    return int(work), int(iwork)
+
+
+def _lowest_eigh(a_mat: np.ndarray, k: int) -> tuple:
+    """Lowest k eigenpairs of the symmetric a_mat, ascending, with their
+    residuals ||A v - mu v|| / |mu|, checked against EIG_RTOL.
+
+    The one eigenpair call site: `eigenpairs` and the annealing loop both
+    come here.  It makes the dsyevr call of
+    `scipy.linalg.eigh(a_mat, subset_by_index=[0, k - 1])` (range 'I',
+    lower, eigenvectors on, a_mat not overwritten) without the wrapper's
+    per-call validation and workspace query, so the eigenvalues are the
+    same to the bit.  The eigenvectors stay on: the residual check needs
+    them, and dsyevr's eigenvalue-only path rounds differently.
+    """
+    lwork, liwork = _syevr_workspace(a_mat.shape[0])
+    mu, vecs, _, _, info = _SYEVR(a_mat, compute_v=1, range="I", lower=1,
+                                  il=1, iu=k, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise NumericError(f"dsyevr failed: info = {info}")
+    mu = mu[:k]
     residuals = np.linalg.norm(a_mat @ vecs - vecs * mu, axis=0) / np.abs(mu)
     if np.any(residuals > EIG_RTOL):
         raise NumericError("eigensolver missed the residual tolerance",
                            achieved=float(np.max(residuals)))
-    # eigh returns unit vectors: rescale to unit h^dim-weighted L2 norm
-    vecs = vecs / np.sqrt(h_meas)
-    return Spectrum(eigenvalues=mu / h_meas, residuals=residuals, op=op, vectors=vecs)
+    return mu, vecs, residuals
 
 
 def eigenvalues_or_inf(base: StiffnessOperator, mask: DomainMask, k: int) -> np.ndarray:

@@ -252,6 +252,49 @@ def test_main_rejects_mask_index_off_grid(tmp_path, capsys, indices):
     assert not (tmp_path / "out").exists()
 
 
+MINIMIZE = {"grid": GRID, "s": 0.5, "iterations": 10, "seeds": [0],
+            "functional": {"name": "l1", "k": 1, "combiner": "l1"}}
+THREE_CELLS = {"type": "indices", "indices": [3, 4, 5]}
+
+
+@pytest.mark.parametrize("kind, config, field", [
+    # a ball without its keys: at the parent a KeyError traceback, exit 1
+    pytest.param("eig", {"mask": {"type": "ball", "volume_cells": 8}, "k": 1},
+                 "mask.center", id="ball-without-center"),
+    pytest.param("eig", {"mask": {"type": "ball", "center": [0.0]}, "k": 1},
+                 "mask.volume_cells", id="ball-without-volume"),
+    pytest.param("torsion", {"mask": {"type": "ball", "center": [0.0, 1.0],
+                                      "volume_cells": 8}},
+                 "mask.center", id="ball-center-of-wrong-dim"),
+    pytest.param("eig", {"mask": {"type": "indices", "indices": []}, "k": 1},
+                 "mask", id="empty-index-list"),
+    # k beyond the mask's cell count, or not an integer
+    pytest.param("eig", {"mask": THREE_CELLS, "k": 9}, "k", id="k-over-mask"),
+    pytest.param("eig", {"mask": THREE_CELLS, "k": 0}, "k", id="k-zero"),
+    pytest.param("eig", {"mask": THREE_CELLS, "k": 1.5}, "k", id="k-not-integer"),
+    # volume outside [2, n_cells] of the 64-cell grid
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=1), "volume_cells",
+                 id="volume-one-cell"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=65), "volume_cells",
+                 id="volume-over-grid"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8.5), "volume_cells",
+                 id="volume-not-integer"),
+])
+def test_main_rejects_field_before_any_output(tmp_path, capsys, kind, config, field):
+    config = dict({"grid": GRID, "s": 0.5}, **config)
+    cfg = _write_config(tmp_path, config)
+    rc = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_accepts_field_bounds():
+    validate_config("eig", {"grid": GRID, "s": 0.5, "mask": THREE_CELLS, "k": 3})
+    for cells in (2, 64):
+        validate_config("minimize", dict(MINIMIZE, volume_cells=cells))
+
+
 def test_main_list_checks(capsys):
     rc = main(["audit", "--list-checks"])
     assert rc == 0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from fracshape.errors import ParameterError
+from fracshape import shapeopt, solvers
+from fracshape.errors import NumericError, ParameterError
 from fracshape.forms import assemble_stiffness
 from fracshape.grid import (DomainMask, build_grid, empty_mask, full_mask,
                             mask_from_indices, translate_mask)
-from fracshape.shapeopt import (AnnealingSchedule, ball_mask,
+from fracshape.shapeopt import (FACE_STRUCTURE, AnnealingSchedule, ball_mask,
                                 connected_components, detect_dichotomy,
                                 eval_functional, gamma_distance,
                                 make_functional, minimize_shape,
@@ -189,6 +191,139 @@ def test_minimize_lambda1_contiguous(base_64):
     traj = minimize_shape(spec, base_64, 16 * g.cell_volume, 5000, seed=2)
     assert len(connected_components(traj.masks[-1])) == 1
     assert traj.values[-1] <= 1.01 * oracle
+
+
+def test_minimize_full_box_makes_no_move():
+    # every cell active: no inactive cell to insert, so the walk stops
+    g = build_grid(1, 2.0, 16)
+    base = assemble_stiffness(g, 0.5)
+    spec = make_functional("l1", 1, "l1")
+    traj = minimize_shape(spec, base, 16 * g.cell_volume, 5, seed=0)
+    assert traj.move_log == [] and len(traj.masks) == 1
+    assert traj.values[0] == eval_functional(spec, base, full_mask(g))
+
+
+# --- the annealing loop against its reference walk -------------------------------
+
+def _erosion_boundary(grid, cells):
+    """Active cells with an inactive face neighbour, by binary erosion (the
+    box exterior counts as inactive)."""
+    arr = cells.reshape(grid.shape)
+    erosion = ndimage.binary_erosion(arr, FACE_STRUCTURE[grid.dim], border_value=0)
+    return np.flatnonzero(arr & ~erosion)
+
+
+def _reference_walk(spec, base, c, iterations, seed, schedule=None):
+    """The annealing walk built from public pieces: eval_functional on a
+    DomainMask per move, the erosion boundary, and rng.choice draws."""
+    grid = base.grid
+    m = int(round(c / grid.cell_volume))
+    schedule = schedule or AnnealingSchedule()
+    rng = np.random.default_rng(seed)
+    cells = np.zeros(grid.n_cells, dtype=bool)
+    cells[rng.choice(grid.n_cells, m, replace=False)] = True
+    value = eval_functional(spec, base, DomainMask(grid, cells))
+    t0 = schedule.t0_factor * abs(value) if np.isfinite(value) else 1.0
+    masks, values, move_log, best = [cells.copy()], [value], [], value
+    for j in range(iterations):
+        out_cell = int(rng.choice(_erosion_boundary(grid, cells)))
+        in_cell = int(rng.choice(np.flatnonzero(~cells)))
+        cells[out_cell], cells[in_cell] = False, True
+        new_value = eval_functional(spec, base, DomainMask(grid, cells))
+        delta = new_value - value
+        temp = t0 * schedule.decay ** j
+        if delta < 0 or (temp > 0 and np.isfinite(delta)
+                         and rng.random() < np.exp(-delta / temp)):
+            value = new_value
+            move_log.append({"iteration": j, "removed": out_cell,
+                             "inserted": in_cell, "value": value})
+            if value < best:
+                best = value
+                masks.append(cells.copy())
+                values.append(value)
+        else:
+            cells[out_cell], cells[in_cell] = True, False
+    return masks, values, move_log
+
+
+def _same_walk(traj, reference) -> bool:
+    masks, values, move_log = reference
+    return (len(traj.masks) == len(masks)
+            and all(np.array_equal(a.cells, b) for a, b in zip(traj.masks, masks))
+            and traj.values == values and traj.move_log == move_log)
+
+
+@pytest.fixture(scope="module")
+def walk_bases():
+    return {1: assemble_stiffness(build_grid(1, 8.0, 128), 0.5),
+            2: assemble_stiffness(build_grid(2, 2.0, 16), 0.5)}
+
+
+WALK_CELLS = {1: 24, 2: 20}
+WALK_MOVES = 1000
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k, combiner", [(1, "l1"), (2, "l2"),
+                                         (3, "max(l1, 0.5 * l3) + l2")])
+def test_minimize_matches_reference_walk(walk_bases, dim, k, combiner):
+    # the lean loop must reproduce the public-piece walk to the bit
+    base = walk_bases[dim]
+    spec = make_functional("f", k, combiner)
+    c = WALK_CELLS[dim] * base.grid.cell_volume
+    traj = minimize_shape(spec, base, c, WALK_MOVES, seed=11)
+    assert len(traj.move_log) > 50
+    assert _same_walk(traj, _reference_walk(spec, base, c, WALK_MOVES, seed=11))
+
+
+def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
+    # negative control: a count update that forgets the inserted cell
+    # leaves a stale boundary, and the walk must part from the reference
+    def forgetful(counts, neighbours, removed, inserted):
+        counts[neighbours[removed]] -= 1
+
+    base = walk_bases[1]
+    spec = make_functional("l2", 2, "l2")
+    c = WALK_CELLS[1] * base.grid.cell_volume
+    reference = _reference_walk(spec, base, c, WALK_MOVES, seed=11)
+    monkeypatch.setattr(shapeopt, "_move_counts", forgetful)
+    assert not _same_walk(minimize_shape(spec, base, c, WALK_MOVES, seed=11),
+                          reference)
+
+
+@pytest.mark.parametrize("dim, resolution, cells", [(1, 24, 8), (2, 8, 12)])
+def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, cells):
+    # every boundary the walk draws from, each after the moves accepted so
+    # far, equals the erosion boundary, on walks that reach the box edge
+    g = build_grid(dim, 2.0, resolution)
+    base = assemble_stiffness(g, 0.5)
+    counted = shapeopt._counted_boundary
+    seen = []
+
+    def checked(cells_now, counts, d):
+        boundary = counted(cells_now, counts, d)
+        assert np.array_equal(boundary, _erosion_boundary(g, cells_now))
+        seen.append(boundary)
+        return boundary
+
+    monkeypatch.setattr(shapeopt, "_counted_boundary", checked)
+    spec = make_functional("l1", 1, "l1")
+    for seed in range(3):
+        traj = minimize_shape(spec, base, cells * g.cell_volume, 150, seed,
+                              AnnealingSchedule(1.0, 0.999))
+        assert len(traj.move_log) > 20
+    edge = np.any((g.multi_index(np.arange(g.n_cells)) == 0)
+                  | (g.multi_index(np.arange(g.n_cells)) == resolution - 1), axis=1)
+    assert len(seen) == 3 * 150
+    assert sum(edge[b].any() for b in seen) > 50
+
+
+def test_minimize_checks_eigen_residuals(base_64, monkeypatch):
+    # the lean path keeps the EIG_RTOL check: a zero tolerance must trip it
+    spec = make_functional("l2", 2, "l2")
+    monkeypatch.setattr(solvers, "EIG_RTOL", 0.0)
+    with pytest.raises(NumericError):
+        minimize_shape(spec, base_64, 8 * base_64.grid.cell_volume, 10, seed=0)
 
 
 # --- detectors -------------------------------------------------------------------

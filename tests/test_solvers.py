@@ -178,22 +178,35 @@ def test_apply_resolvent_against_direct(base_64):
     assert np.abs(u.values[op.active_index] - direct).max() < 1e-10
 
 
+def test_lowest_eigh_is_scipy_eigh_to_the_bit(base_64, base_2d):
+    # the one LAPACK call site makes the call scipy's subset eigh makes
+    rng = np.random.default_rng(3)
+    for base, m in ((base_64, 24), (base_64, 64), (base_2d, 20), (base_2d, 57)):
+        idx = np.sort(rng.choice(base.grid.n_cells, m, replace=False))
+        a_mat = restrict(base, mask_from_indices(base.grid, idx)).matrix()
+        for k in (1, 3):
+            mu, vecs, residuals = solvers._lowest_eigh(a_mat, k)
+            w, v = eigh(a_mat, subset_by_index=[0, k - 1])
+            assert np.array_equal(mu, w) and np.array_equal(vecs, v)
+            assert np.all(residuals <= solvers.EIG_RTOL)
+
+
 def test_residual_checks_can_fail(base_64, monkeypatch):
     # answers off by 1e-6 relative must miss SOLVE_RTOL and EIG_RTOL
     op = restrict(base_64, mask_from_indices(base_64.grid, range(20, 44)))
-    exact_solve, exact_eigh = DirichletOperator.solve, solvers.eigh
+    exact_solve, exact_syevr = DirichletOperator.solve, solvers._SYEVR
 
     def bad_solve(self, rhs):
         return (1 + 1e-6) * exact_solve(self, rhs)
 
-    def bad_eigh(a, **kw):
-        vals, vecs = exact_eigh(a, **kw)
-        return (1 + 1e-6) * vals, vecs
+    def bad_syevr(a, **kw):
+        vals, *rest = exact_syevr(a, **kw)
+        return ((1 + 1e-6) * vals, *rest)
 
     monkeypatch.setattr(DirichletOperator, "solve", bad_solve)
     with pytest.raises(NumericError):
         solve_torsion(op)
-    monkeypatch.setattr(solvers, "eigh", bad_eigh)
+    monkeypatch.setattr(solvers, "_SYEVR", bad_syevr)
     with pytest.raises(NumericError):
         eigenpairs(op, 2)
 
