@@ -173,16 +173,14 @@ def _syevr_workspace(n: int) -> tuple:
 
 
 def _lowest_eigh(a_mat: np.ndarray, k: int) -> tuple:
-    """Lowest k eigenpairs of the symmetric a_mat, ascending, with their
-    residuals ||A v - mu v|| / |mu|, checked against EIG_RTOL.
+    """Lowest k eigenpairs (mu ascending, unit vectors) of the symmetric
+    a_mat and their residuals ||A v - mu v|| / |mu|, checked against EIG_RTOL.
 
-    The one eigenpair call site: `eigenpairs` and the annealing loop both
-    come here.  It makes the dsyevr call of
-    `scipy.linalg.eigh(a_mat, subset_by_index=[0, k - 1])` (range 'I',
-    lower, eigenvectors on, a_mat not overwritten) without the wrapper's
-    per-call validation and workspace query, so the eigenvalues are the
-    same to the bit.  The eigenvectors stay on: the residual check needs
-    them, and dsyevr's eigenvalue-only path rounds differently.
+    The one eigenpair call site, shared by `eigenpairs` and the annealing
+    loop: the dsyevr call of `scipy.linalg.eigh(a_mat, subset_by_index=[0,
+    k - 1])` without the wrapper's per-call checks, so the results are the
+    same to the bit.  Eigenvectors stay on: the residual check needs them,
+    and dsyevr's eigenvalue-only path rounds differently.
     """
     lwork, liwork = _syevr_workspace(a_mat.shape[0])
     mu, vecs, _, _, info = _SYEVR(a_mat, compute_v=1, range="I", lower=1,

@@ -291,8 +291,8 @@ def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
                           reference)
 
 
-@pytest.mark.parametrize("dim, resolution, cells", [(1, 24, 8), (2, 8, 12)])
-def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, cells):
+@pytest.mark.parametrize("dim, resolution, volume_cells", [(1, 24, 8), (2, 8, 12)])
+def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, volume_cells):
     # every boundary the walk draws from, each after the moves accepted so
     # far, equals the erosion boundary, on walks that reach the box edge
     g = build_grid(dim, 2.0, resolution)
@@ -309,11 +309,11 @@ def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, cells):
     monkeypatch.setattr(shapeopt, "_counted_boundary", checked)
     spec = make_functional("l1", 1, "l1")
     for seed in range(3):
-        traj = minimize_shape(spec, base, cells * g.cell_volume, 150, seed,
+        traj = minimize_shape(spec, base, volume_cells * g.cell_volume, 150, seed,
                               AnnealingSchedule(1.0, 0.999))
         assert len(traj.move_log) > 20
-    edge = np.any((g.multi_index(np.arange(g.n_cells)) == 0)
-                  | (g.multi_index(np.arange(g.n_cells)) == resolution - 1), axis=1)
+    multi = g.multi_index(np.arange(g.n_cells))
+    edge = np.any((multi == 0) | (multi == resolution - 1), axis=1)
     assert len(seen) == 3 * 150
     assert sum(edge[b].any() for b in seen) > 50
 
