@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -83,10 +84,13 @@ def validate_config(kind: str, config: dict) -> dict:
             if "k" in config and not _int_in(config["k"], 1, n_active):
                 _fail("k", f"must be an integer in [1, {n_active}] (the mask's "
                            f"cell count), got {config['k']!r}")
-        if "volume_cells" in config and not _int_in(config["volume_cells"], 2,
-                                                    grid.n_cells):
-            _fail("volume_cells", f"must be an integer in [2, {grid.n_cells}], "
-                                  f"got {config['volume_cells']!r}")
+        for fld in ("volume_cells", "total_volume_cells"):
+            if fld in config and not _int_in(config[fld], 2, grid.n_cells):
+                _fail(fld, f"must be an integer in [2, {grid.n_cells}], "
+                           f"got {config[fld]!r}")
+        if "distances_cells" in config:
+            _check_distances(grid, config["total_volume_cells"],
+                             config["distances_cells"])
     if "s" in config and not (isinstance(config["s"], (int, float))
                               and 0 < config["s"] < 1):
         _fail("s", f"must lie in (0, 1), got {config['s']}")
@@ -106,6 +110,8 @@ def validate_config(kind: str, config: dict) -> dict:
     if "iterations" in config and not (isinstance(config["iterations"], int)
                                        and config["iterations"] >= 1):
         _fail("iterations", "must be an integer >= 1")
+    if "schedule" in config:
+        _check_schedule(config["schedule"])
     if "checks" in config:
         bad = set(config["checks"]) - set(audit_mod.check_names())
         if bad:
@@ -115,6 +121,40 @@ def validate_config(kind: str, config: dict) -> dict:
 
 def _int_in(value, lo: int, hi: int) -> bool:
     return type(value) is int and lo <= value <= hi
+
+
+def _check_distances(grid, total_cells: int, distances) -> None:
+    """Each distance keeps the two-ball pair apart and inside the box, by
+    the geometry `two_ball_experiment` uses."""
+    if not (isinstance(distances, list) and distances
+            and all(type(d) is int and d >= 1 for d in distances)):
+        _fail("distances_cells", f"must be a nonempty list of positive "
+                                 f"integers, got {distances!r}")
+    for d in distances:
+        try:
+            shapeopt.two_ball_offset(grid, total_cells * grid.cell_volume,
+                                     d * grid.h)
+        except ParameterError as exc:
+            _fail("distances_cells", f"{d} cells: {exc}")
+
+
+def _check_schedule(schedule) -> None:
+    """Keys of AnnealingSchedule only; t0_factor finite and >= 0, decay in
+    (0, 1], so the temperature stays finite, nonnegative and nonincreasing."""
+    if not isinstance(schedule, dict):
+        _fail("schedule", "must be an object with keys t0_factor, decay")
+    unknown = set(schedule) - {"t0_factor", "decay"}
+    if unknown:
+        _fail(f"schedule.{sorted(unknown)[0]}", "unknown key; the keys are "
+                                                "t0_factor and decay")
+    if "t0_factor" in schedule:
+        t0 = schedule["t0_factor"]
+        if not (type(t0) in (int, float) and math.isfinite(t0) and t0 >= 0):
+            _fail("schedule.t0_factor", f"must be a finite number >= 0, got {t0!r}")
+    if "decay" in schedule:
+        decay = schedule["decay"]
+        if not (type(decay) in (int, float) and 0 < decay <= 1):
+            _fail("schedule.decay", f"must lie in (0, 1], got {decay!r}")
 
 
 def _build_mask(grid, spec) -> DomainMask:

@@ -142,6 +142,29 @@ def ball_mask(grid: Grid, center, volume: float) -> DomainMask:
     return mask_from_indices(grid, order[:count])
 
 
+def two_ball_offset(grid: Grid, total_volume: float, d: float) -> float:
+    """Center offset along the first axis of each ball of an equal pair of
+    the given total volume at mutual (set) distance d.
+
+    1D balls are intervals of count * h; a 2D radius comes from the disc
+    area.  Raises ParameterError when the balls overlap (d <= 0) or one
+    leaves the box.
+    """
+    count = int(round(total_volume / 2.0 / grid.cell_volume))
+    if grid.dim == 1:
+        radius = 0.5 * count * grid.h
+    else:
+        radius = np.sqrt(total_volume / 2.0 / np.pi)
+    if d <= 0:
+        raise ParameterError(f"distance {d} overlaps the balls; it must be > 0")
+    if d / 2.0 + 2.0 * radius > grid.half_width:
+        raise ParameterError(
+            f"distance {d} pushes a ball outside the box of half width "
+            f"{grid.half_width}"
+        )
+    return d / 2.0 + radius
+
+
 def two_ball_experiment(grid: Grid, s: float, total_volume: float,
                         distances) -> list:
     """Second eigenvalue of two receding equal balls against one ball.
@@ -154,27 +177,12 @@ def two_ball_experiment(grid: Grid, s: float, total_volume: float,
     """
     base = assemble_stiffness(grid, s)
     half = total_volume / 2.0
-    count = int(round(half / grid.cell_volume))
-    # 1D balls are intervals of length count*h; 2D radius from the disc area
-    if grid.dim == 1:
-        radius = 0.5 * count * grid.h
-    else:
-        radius = np.sqrt(half / np.pi)
     rows = []
     for d in distances:
         d = float(d)
-        if d <= 0:
-            raise ParameterError(
-                f"distance {d} overlaps the balls; it must be > 0"
-            )
-        if d / 2.0 + 2.0 * radius > grid.half_width:
-            raise ParameterError(
-                f"distance {d} pushes a ball outside the box of half width "
-                f"{grid.half_width}"
-            )
         center = np.zeros(grid.dim)
         offset = np.zeros(grid.dim)
-        offset[0] = d / 2.0 + radius
+        offset[0] = two_ball_offset(grid, total_volume, d)
         left = ball_mask(grid, center - offset, half)
         right = ball_mask(grid, center + offset, half)
         union = DomainMask(grid, left.cells | right.cells)
@@ -250,11 +258,14 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     cell; downhill moves are always accepted, uphill moves with probability
     exp(-dJ / T_j).  Deterministic for a given seed.
 
-    A move does only what its value needs: the boundary is read off
-    active-neighbour counts, which change only on accepted moves; the
-    proposal's matrix is one gather of the box matrix on the sorted active
-    cells; and its eigenvalues come from `solvers._lowest_eigh`, the LAPACK
-    call and residual check that `eigenpairs` makes.  So every value is
+    A move does only what its value needs.  The boundary is read off
+    active-neighbour counts, and it and the inactive list are refreshed
+    only on accepted moves, since a rejected move restores the state.  A
+    mask is solved once per walk: J is memoized on the mask's packed bits,
+    in a dict dropped when the walk returns.  A new mask's matrix is one
+    gather of the box matrix on the sorted active cells, and its
+    eigenvalues come from `solvers._lowest_eigh`, the LAPACK call and
+    residual check that `eigenpairs` makes.  So every value is
     `eval_functional`'s to the bit, and a walk is the same for a given seed
     as one built from `eval_functional` and a morphological boundary.
     """
@@ -277,14 +288,23 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     kk = min(spec.k, m)
     beyond = np.full(spec.k - kk, np.inf)   # lambda_j = +inf for j > m
 
+    memo = {}   # packed mask bits -> J, for this walk only
+
     def evaluate() -> float:
-        a = np.flatnonzero(cells)
-        mu = _lowest_eigh(box[a[:, None], a], kk)[0]
-        return float(_eval_node(spec._tree.body, np.concatenate([mu / h_meas, beyond])))
+        key = np.packbits(cells).tobytes()
+        value = memo.get(key)
+        if value is None:
+            a = np.flatnonzero(cells)
+            mu = _lowest_eigh(box[a[:, None], a], kk)[0]
+            value = memo[key] = float(_eval_node(
+                spec._tree.body, np.concatenate([mu / h_meas, beyond])))
+        return value
 
     neighbours = _neighbour_table(grid)
     counts = np.zeros(grid.n_cells + 1, dtype=np.intp)
     counts[:-1] = np.append(cells, False)[neighbours].sum(axis=1)
+    boundary = _counted_boundary(cells, counts, grid.dim)
+    inactive = np.flatnonzero(~cells)
     value = evaluate()
     t0 = schedule.t0_factor * abs(value) if np.isfinite(value) else 1.0
     masks = [DomainMask(grid, cells.copy())]
@@ -292,8 +312,6 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     move_log = []
     best = value
     for j in range(int(iterations)):
-        boundary = _counted_boundary(cells, counts, grid.dim)
-        inactive = np.flatnonzero(~cells)
         if boundary.size == 0 or inactive.size == 0:
             break
         out_cell = int(boundary[rng.integers(boundary.size)])
@@ -307,6 +325,8 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
                                and rng.random() < np.exp(-delta / temp))
         if accept:
             _move_counts(counts, neighbours, out_cell, in_cell)
+            boundary = _counted_boundary(cells, counts, grid.dim)
+            inactive = np.flatnonzero(~cells)
             value = new_value
             move_log.append({"iteration": j, "removed": out_cell,
                              "inserted": in_cell, "value": value})

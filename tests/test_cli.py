@@ -255,6 +255,7 @@ def test_main_rejects_mask_index_off_grid(tmp_path, capsys, indices):
 MINIMIZE = {"grid": GRID, "s": 0.5, "iterations": 10, "seeds": [0],
             "functional": {"name": "l1", "k": 1, "combiner": "l1"}}
 THREE_CELLS = {"type": "indices", "indices": [3, 4, 5]}
+TWO_BALL = {"total_volume_cells": 16, "distances_cells": [4, 8]}
 
 
 @pytest.mark.parametrize("kind, config, field", [
@@ -279,6 +280,32 @@ THREE_CELLS = {"type": "indices", "indices": [3, 4, 5]}
                  id="volume-over-grid"),
     pytest.param("minimize", dict(MINIMIZE, volume_cells=8.5), "volume_cells",
                  id="volume-not-integer"),
+    # schedule: at the parent {"t0": 1} is a TypeError traceback (exit 1)
+    # and a negative decay runs with a temperature that flips sign
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, schedule={"t0": 1}),
+                 "schedule.t0", id="schedule-unknown-key"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, schedule={"decay": -2.0}),
+                 "schedule.decay", id="schedule-negative-decay"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, schedule={"decay": 0}),
+                 "schedule.decay", id="schedule-zero-decay"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  schedule={"t0_factor": -0.1}),
+                 "schedule.t0_factor", id="schedule-negative-t0"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  schedule={"t0_factor": float("inf")}),
+                 "schedule.t0_factor", id="schedule-infinite-t0"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, schedule=[0.1, 0.9]),
+                 "schedule", id="schedule-not-object"),
+    # two-ball on the 64-cell grid: at the parent both raise from
+    # two_ball_experiment after --out exists, naming no field
+    pytest.param("two-ball", dict(TWO_BALL, distances_cells=[0]),
+                 "distances_cells", id="two-ball-zero-distance"),
+    pytest.param("two-ball", dict(TWO_BALL, distances_cells=[4, 49]),
+                 "distances_cells", id="two-ball-outside-box"),
+    pytest.param("two-ball", dict(TWO_BALL, distances_cells=[]),
+                 "distances_cells", id="two-ball-no-distance"),
+    pytest.param("two-ball", dict(TWO_BALL, total_volume_cells=200),
+                 "total_volume_cells", id="two-ball-volume-over-grid"),
 ])
 def test_main_rejects_field_before_any_output(tmp_path, capsys, kind, config, field):
     config = dict({"grid": GRID, "s": 0.5}, **config)
@@ -293,6 +320,13 @@ def test_validate_accepts_field_bounds():
     validate_config("eig", {"grid": GRID, "s": 0.5, "mask": THREE_CELLS, "k": 3})
     for cells in (2, 64):
         validate_config("minimize", dict(MINIMIZE, volume_cells=cells))
+    for schedule in ({}, {"t0_factor": 0, "decay": 1}, {"decay": 0.5}):
+        validate_config("minimize", dict(MINIMIZE, volume_cells=8,
+                                         schedule=schedule))
+    # balls of 8 cells of h = 1/8 on the half width 4: a distance of 48
+    # cells puts the outer ball edges at 3 + 1 = 4, the box edge (49 fails)
+    validate_config("two-ball", dict(TWO_BALL, grid=GRID, s=0.5,
+                                     distances_cells=[1, 48]))
 
 
 def test_main_list_checks(capsys):

@@ -213,15 +213,19 @@ def _erosion_boundary(grid, cells):
     return np.flatnonzero(arr & ~erosion)
 
 
-def _reference_walk(spec, base, c, iterations, seed, schedule=None):
+def _reference_walk(spec, base, c, iterations, seed, schedule=None,
+                    evaluated=None):
     """The annealing walk built from public pieces: eval_functional on a
-    DomainMask per move, the erosion boundary, and rng.choice draws."""
+    DomainMask per move, the erosion boundary, and rng.choice draws.  Each
+    evaluated mask's bytes go to the set `evaluated`, when one is given."""
     grid = base.grid
     m = int(round(c / grid.cell_volume))
     schedule = schedule or AnnealingSchedule()
     rng = np.random.default_rng(seed)
     cells = np.zeros(grid.n_cells, dtype=bool)
     cells[rng.choice(grid.n_cells, m, replace=False)] = True
+    if evaluated is not None:
+        evaluated.add(cells.tobytes())
     value = eval_functional(spec, base, DomainMask(grid, cells))
     t0 = schedule.t0_factor * abs(value) if np.isfinite(value) else 1.0
     masks, values, move_log, best = [cells.copy()], [value], [], value
@@ -229,6 +233,8 @@ def _reference_walk(spec, base, c, iterations, seed, schedule=None):
         out_cell = int(rng.choice(_erosion_boundary(grid, cells)))
         in_cell = int(rng.choice(np.flatnonzero(~cells)))
         cells[out_cell], cells[in_cell] = False, True
+        if evaluated is not None:
+            evaluated.add(cells.tobytes())
         new_value = eval_functional(spec, base, DomainMask(grid, cells))
         delta = new_value - value
         temp = t0 * schedule.decay ** j
@@ -291,10 +297,36 @@ def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
                           reference)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
+    # the walk-local memo: one eigensolve per distinct mask, on the
+    # anneal-1d grid and functional (1D) and on 2D 16², while the walk
+    # still matches its reference
+    base = walk_bases[dim]
+    spec = make_functional("l2", 2, "l2")
+    c = WALK_CELLS[dim] * base.grid.cell_volume
+    evaluated = set()
+    reference = _reference_walk(spec, base, c, WALK_MOVES, seed=11,
+                                evaluated=evaluated)
+    calls = []
+    solve = shapeopt._lowest_eigh
+
+    def counted(a_mat, k):
+        calls.append(a_mat.shape[0])
+        return solve(a_mat, k)
+
+    monkeypatch.setattr(shapeopt, "_lowest_eigh", counted)
+    traj = minimize_shape(spec, base, c, WALK_MOVES, seed=11)
+    assert _same_walk(traj, reference)
+    assert len(calls) == len(evaluated) < WALK_MOVES + 1
+
+
 @pytest.mark.parametrize("dim, resolution, volume_cells", [(1, 24, 8), (2, 8, 12)])
 def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, volume_cells):
     # every boundary the walk draws from, each after the moves accepted so
-    # far, equals the erosion boundary, on walks that reach the box edge
+    # far, equals the erosion boundary, on walks that reach the box edge;
+    # it is computed once per visited state: at the start and after each
+    # accepted move
     g = build_grid(dim, 2.0, resolution)
     base = assemble_stiffness(g, 0.5)
     counted = shapeopt._counted_boundary
@@ -308,13 +340,15 @@ def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, volume_c
 
     monkeypatch.setattr(shapeopt, "_counted_boundary", checked)
     spec = make_functional("l1", 1, "l1")
+    accepted = 0
     for seed in range(3):
         traj = minimize_shape(spec, base, volume_cells * g.cell_volume, 150, seed,
                               AnnealingSchedule(1.0, 0.999))
         assert len(traj.move_log) > 20
+        accepted += len(traj.move_log)
     multi = g.multi_index(np.arange(g.n_cells))
     edge = np.any((multi == 0) | (multi == resolution - 1), axis=1)
-    assert len(seen) == 3 * 150
+    assert len(seen) == 3 + accepted
     assert sum(edge[b].any() for b in seen) > 50
 
 

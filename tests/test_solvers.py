@@ -211,6 +211,20 @@ def test_residual_checks_can_fail(base_64, monkeypatch):
         eigenpairs(op, 2)
 
 
+def test_residual_checks_fail_on_nan(base_64, monkeypatch):
+    # dsyevr maps a NaN entry to lambda = 0 with zero vectors, and a NaN
+    # solve gives a NaN residual: both must raise, not pass a `> tol` test
+    a_mat = 2.0 * np.eye(4) + 0.1
+    a_mat[1, 2] = a_mat[2, 1] = np.nan
+    with pytest.raises(NumericError):
+        solvers._lowest_eigh(a_mat, 2)
+    op = restrict(base_64, mask_from_indices(base_64.grid, range(20, 44)))
+    monkeypatch.setattr(DirichletOperator, "solve",
+                        lambda self, rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(NumericError):
+        solve_torsion(op)
+
+
 def test_resolvent_norm_diff_vs_empty(base_64):
     mask = mask_from_indices(base_64.grid, range(20, 44))
     op = restrict(base_64, mask)
