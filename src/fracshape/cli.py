@@ -53,6 +53,9 @@ _SCHEMAS = {
     "audit": {"required": set(),
               "optional": {"grid", "s", "seeds", "checks"}},
 }
+# values of the optional fields when a config leaves them out
+_DEFAULTS = {"length": 10, "epsilon_fraction": 0.2,
+             "mask_cells_min": 4, "mask_cells_max": 16}
 
 
 def _fail(field: str, message: str):
@@ -91,29 +94,45 @@ def validate_config(kind: str, config: dict) -> dict:
         if "distances_cells" in config:
             _check_distances(grid, config["total_volume_cells"],
                              config["distances_cells"])
-    if "s" in config and not (isinstance(config["s"], (int, float))
+        if kind == "lieb":
+            _check_lieb_cells(grid, config)
+    # type(x) is int, not isinstance, throughout: a JSON true is no integer
+    if "s" in config and not (type(config["s"]) in (int, float)
                               and 0 < config["s"] < 1):
         _fail("s", f"must lie in (0, 1), got {config['s']}")
     if "seeds" in config:
         seeds = config["seeds"]
         if (not isinstance(seeds, list) or not seeds
-                or not all(isinstance(x, int) for x in seeds)):
+                or not all(type(x) is int for x in seeds)):
             _fail("seeds", "must be a nonempty list of integers")
     if "functional" in config:
         f = config["functional"]
         for fld in ("name", "k", "combiner"):
             if fld not in f:
                 _fail(f"functional.{fld}", "missing")
-        shapeopt.make_functional(f["name"], f["k"], f["combiner"])
+        try:
+            shapeopt.make_functional(f["name"], f["k"], f["combiner"])
+        except ParameterError as exc:
+            _fail("functional", str(exc))
     if "generator" in config and config["generator"] not in GENERATORS:
         _fail("generator", f"must be one of {sorted(GENERATORS)}")
-    if "iterations" in config and not (isinstance(config["iterations"], int)
-                                       and config["iterations"] >= 1):
-        _fail("iterations", "must be an integer >= 1")
+    for fld, lo in (("iterations", 1), ("trials", 1), ("length", cc.MIN_LENGTH)):
+        if fld in config and not _int_in(config[fld], lo, math.inf):
+            _fail(fld, f"must be an integer >= {lo}, got {config[fld]!r}")
+    if "epsilon_fraction" in config:
+        frac = config["epsilon_fraction"]
+        # classify takes epsilon in (0, mass_limit / 4)
+        if not (type(frac) in (int, float) and 0 < frac < 0.25):
+            _fail("epsilon_fraction", f"must lie in (0, 0.25), got {frac!r}")
     if "schedule" in config:
         _check_schedule(config["schedule"])
     if "checks" in config:
-        bad = set(config["checks"]) - set(audit_mod.check_names())
+        names = config["checks"]
+        # an empty selection would pass vacuously
+        if not (isinstance(names, list) and names
+                and all(type(x) is str for x in names)):
+            _fail("checks", f"must be a nonempty list of check names, got {names!r}")
+        bad = set(names) - set(audit_mod.check_names())
         if bad:
             _fail("checks", f"unknown check {sorted(bad)[0]!r}")
     return config
@@ -136,6 +155,19 @@ def _check_distances(grid, total_cells: int, distances) -> None:
                                      d * grid.h)
         except ParameterError as exc:
             _fail("distances_cells", f"{d} cells: {exc}")
+
+
+def _check_lieb_cells(grid, config) -> None:
+    """mask_cells_min <= mask_cells_max, both in [1, n_cells - 2], so that
+    the window of `_run_lieb` leaves a start offset to draw."""
+    hi_cells = grid.n_cells - 2
+    lo, hi = (config.get(f, _DEFAULTS[f]) for f in ("mask_cells_min", "mask_cells_max"))
+    for fld, value in (("mask_cells_min", lo), ("mask_cells_max", hi)):
+        if not _int_in(value, 1, hi_cells):
+            _fail(fld, f"must be an integer in [1, {hi_cells}], got {value!r}")
+    if lo > hi:
+        fld = "mask_cells_min" if "mask_cells_min" in config else "mask_cells_max"
+        _fail(fld, f"mask_cells_min ({lo}) exceeds mask_cells_max ({hi})")
 
 
 def _check_schedule(schedule) -> None:
@@ -260,8 +292,8 @@ def _run_minimize(config, out, seeds):
 
 def _run_classify(config, out, seeds):
     gen = GENERATORS[config["generator"]]
-    length = config.get("length", 10)
-    frac = config.get("epsilon_fraction", 0.2)
+    length = config.get("length", _DEFAULTS["length"])
+    frac = config.get("epsilon_fraction", _DEFAULTS["epsilon_fraction"])
     files = []
     for seed in seeds:
         seq = gen(seed, length)
@@ -281,8 +313,8 @@ def _run_classify(config, out, seeds):
 def _run_lieb(config, out, seeds):
     grid = build_grid(**config["grid"])
     base = assemble_stiffness(grid, config["s"])
-    lo = config.get("mask_cells_min", 4)
-    hi = config.get("mask_cells_max", 16)
+    lo = config.get("mask_cells_min", _DEFAULTS["mask_cells_min"])
+    hi = config.get("mask_cells_max", _DEFAULTS["mask_cells_max"])
     window = max(hi + 1, grid.n_cells // 3)
     rows = []
     for seed in seeds:

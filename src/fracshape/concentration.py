@@ -22,6 +22,7 @@ from .solvers import eigenpairs, restrict
 
 PLATEAU_SLOPE = 0.02    # relative slope threshold for plateau rungs
 TAIL_FRACTION = 3       # tail = last third of the sequence
+MIN_LENGTH = 8          # shortest sequence `classify` accepts
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ def classify(seq: FunctionSequence, epsilon: float) -> TrichotomyReport:
     widening rung window; otherwise inconclusive.
     """
     n = len(seq.entries)
-    if n < 8:
-        raise ParameterError(f"sequence length must be >= 8, got {n}")
+    if n < MIN_LENGTH:
+        raise ParameterError(f"sequence length must be >= {MIN_LENGTH}, got {n}")
     lam = seq.mass_limit
     if not (0 < epsilon < lam / 4):
         raise ParameterError(f"epsilon must lie in (0, mass_limit/4), got {epsilon}")

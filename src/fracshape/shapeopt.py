@@ -80,7 +80,8 @@ def _validate_node(node, k: int) -> None:
 
 
 def make_functional(name: str, k: int, combiner: str) -> FunctionalSpec:
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    # type(k) is int, not isinstance: a JSON true must not pass as 1
+    if not ((type(k) is int or isinstance(k, np.integer)) and k >= 1):
         raise ParameterError(f"k must be an integer >= 1, got {k}")
     try:
         tree = ast.parse(combiner, mode="eval")

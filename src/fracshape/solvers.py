@@ -5,11 +5,15 @@ submatrix of the box matrix A on the active cells.  Couplings to inactive
 cells already sit in A's diagonal (they contribute k_ij u_i^2 because
 u_j = 0 there), so the restriction is always strictly positive definite.
 
-Everything here is dense LAPACK on the restricted matrix: linear systems go
-through its cached Cholesky factor, eigenpairs through one subset `dsyevr`
-call site (`_lowest_eigh`, shared with the annealing loop), and
-resolvent-difference norms through `eigvalsh` of the symmetric difference.
-Each result is checked against a residual tolerance.
+Everything here is dense LAPACK on the restricted matrix, called directly
+rather than through scipy's `cho_factor`/`cho_solve`/`eigvalsh` wrappers,
+whose per-call checks cost more than the small solves themselves: linear
+systems go through a cached `dpotrf` factor and `dpotrs`, eigenpairs through
+one subset `dsyevr` call site (`_lowest_eigh`, shared with the annealing
+loop), and resolvent-difference norms through an eigenvalue-only `dsyevr`
+call on the symmetric difference.  The calls are the wrappers' own, so the
+results are the same to the bit.  LAPACK does not check for NaN; every
+result is checked against a residual tolerance instead, which a NaN fails.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator
@@ -27,8 +31,9 @@ from .grid import DomainMask, GridFunction, l2_distance
 SOLVE_RTOL = 1e-10
 EIG_RTOL = 1e-8
 DUALITY_SEED = 0x5EED   # fixed test function of the duality identity
-# the LAPACK driver behind scipy.linalg.eigh(a, subset_by_index=...)
-_SYEVR, _SYEVR_LWORK = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+# the LAPACK drivers behind scipy.linalg.eigh/eigvalsh and cho_factor/cho_solve
+_SYEVR, _SYEVR_LWORK, _POTRF, _POTRS = get_lapack_funcs(
+    ("syevr", "syevr_lwork", "potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -55,16 +60,24 @@ class DirichletOperator:
         return m
 
     @cached_property
-    def _cho(self) -> tuple:
-        return cho_factor(self._matrix)
+    def _cho(self) -> np.ndarray:
+        """Upper Cholesky factor: the dpotrf call of `cho_factor`."""
+        c, info = _POTRF(self._matrix, lower=0, clean=0)
+        if info != 0:
+            raise NumericError(f"dpotrf failed: info = {info}")
+        return c
 
     def matrix(self) -> np.ndarray:
         """Restricted matrix: cached and read-only; do not copy."""
         return self._matrix
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct solve on active cells via the cached Cholesky factor."""
-        return cho_solve(self._cho, rhs)
+        """Direct solve on active cells via the cached Cholesky factor: the
+        dpotrs call of `cho_solve`."""
+        x, info = _POTRS(self._cho, rhs, lower=0)
+        if info != 0:
+            raise NumericError(f"dpotrs failed: info = {info}")
+        return x
 
     def scatter(self, active_values: np.ndarray) -> GridFunction:
         """Embed active-cell values into a full-grid function (zero outside)."""
@@ -113,8 +126,10 @@ class Spectrum:
 def _checked_solve(op: DirichletOperator, b: np.ndarray) -> tuple:
     """Solve A x = b by the cached factor; also return ||A x - b|| / ||b||."""
     x = op.solve(b)
-    norm_b = np.linalg.norm(b)
-    residual = np.linalg.norm(op.matrix() @ x - b) / norm_b if norm_b > 0 else 0.0
+    r = op.matrix() @ x - b
+    # np.linalg.norm of a vector without its wrapper, the same bits
+    norm_b = np.sqrt(b @ b)
+    residual = np.sqrt(r @ r) / norm_b if norm_b > 0 else 0.0
     if not residual <= SOLVE_RTOL:     # NaN fails too
         raise NumericError(
             f"direct solve missed the residual tolerance: {residual:.3e}",
@@ -228,7 +243,8 @@ def resolvent_norm_diff(op_a: DirichletOperator | None,
     """Operator norm of R_A - R_B on L2 of the full grid.
 
     Either operator may be None (the empty set; null resolvent).  The
-    difference is symmetric, so its norm is its largest |eigenvalue|.
+    difference is symmetric, so its norm is its largest |eigenvalue|, from
+    the dsyevr call of `eigvalsh`.
     """
     ops = [op for op in (op_a, op_b) if op is not None]
     if not ops:
@@ -237,7 +253,12 @@ def resolvent_norm_diff(op_a: DirichletOperator | None,
         raise StructuralError("operators live on different grids")
     indices = np.unique(np.concatenate([op.active_index for op in ops]))
     d = _dense_resolvent(op_a, indices) - _dense_resolvent(op_b, indices)
-    return float(np.abs(eigvalsh(d)).max())
+    lwork, liwork = _syevr_workspace(indices.size)
+    w, _, _, _, info = _SYEVR(d, compute_v=0, range="A", lower=1,
+                              lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise NumericError(f"dsyevr failed: info = {info}")
+    return float(np.abs(w).max())
 
 
 @dataclass(frozen=True)
@@ -252,9 +273,8 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
                                   op_b: DirichletOperator) -> ResolventTorsionReport:
     """Compare the resolvent gap with the torsion L2 distance on nested masks.
 
-    Also checks the duality identity int(R_A f - R_B f) = int f (w_A - w_B)
-    for a fixed non-constant f (seeded), with resolvents and torsion
-    functions from separate solves.
+    Also checks the duality identity (`duality_residual`), with resolvents
+    and torsion functions from separate solves.
     """
     if not op_b.mask.is_subset_of(op_a.mask):
         raise StructuralError("second operator's mask must be nested in the first")
@@ -262,6 +282,15 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
     w_a = solve_torsion(op_a).values
     w_b = solve_torsion(op_b).values
     rhs = l2_distance(w_a, w_b)
+    constant = lhs / rhs if rhs > 0 else 0.0
+    return ResolventTorsionReport(lhs=lhs, rhs=rhs, constant=constant,
+                                  duality_residual=duality_residual(op_a, op_b, w_a, w_b))
+
+
+def duality_residual(op_a: DirichletOperator, op_b: DirichletOperator,
+                     w_a: GridFunction, w_b: GridFunction) -> float:
+    """|int(R_A f - R_B f) - int f (w_A - w_B)| for a fixed non-constant f
+    (seeded), given the torsion functions w_A, w_B of the two operators."""
     grid = op_a.grid
     rng = np.random.default_rng(DUALITY_SEED)
     f = GridFunction(grid, rng.standard_normal(grid.n_cells))
@@ -270,9 +299,7 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
     meas = grid.cell_volume
     left = meas * np.sum(r_a.values - r_b.values)
     right = meas * (f.values @ (w_a.values - w_b.values))
-    constant = lhs / rhs if rhs > 0 else 0.0
-    return ResolventTorsionReport(lhs=lhs, rhs=rhs, constant=constant,
-                                  duality_residual=float(abs(left - right)))
+    return float(abs(left - right))
 
 
 def alpha_exponent_fit(pairs) -> float:

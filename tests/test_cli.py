@@ -1,14 +1,17 @@
 import json
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from fracshape import audit as audit_mod
-from fracshape.audit import bounds_audit, check_stiffness_symmetry
+from fracshape.audit import _Solved, bounds_audit, check_stiffness_symmetry
 from fracshape.cli import main, run_experiment, validate_config
 from fracshape.errors import ParameterError
 from fracshape.forms import StiffnessOperator, assemble_stiffness
-from fracshape.grid import build_grid
+from fracshape.grid import GridFunction, build_grid
+from fracshape.solvers import DirichletOperator
 
 GRID = {"dim": 1, "half_width": 4.0, "resolution": 64}
 
@@ -149,7 +152,7 @@ def test_audit_negative_control():
     a = base.matrix().copy()
     a[3, 9] *= 2.0
     broken = StiffnessOperator(base.grid, base.params, a, base.tail)
-    result = check_stiffness_symmetry(broken, 0)
+    result = check_stiffness_symmetry(_Solved(broken), 0)
     assert result.name == "stiffness_symmetry"
     assert not result.passed
     assert result.worst_slack < 0
@@ -162,7 +165,7 @@ def test_audit_sign_negative_control():
     a = base.matrix().copy()
     a[3, 9] = a[9, 3] = -a[3, 9]
     broken = StiffnessOperator(base.grid, base.params, a, base.tail)
-    result = check_stiffness_symmetry(broken, 0)
+    result = check_stiffness_symmetry(_Solved(broken), 0)
     assert not result.passed
     assert result.worst_slack < 0
 
@@ -176,7 +179,7 @@ def test_audit_symmetry_passed_follows_slack(rel):
     assert np.abs(a).max() < 1.0
     a[3, 9] += rel * np.abs(a).max()
     broken = StiffnessOperator(base.grid, base.params, a, base.tail)
-    result = check_stiffness_symmetry(broken, 0)
+    result = check_stiffness_symmetry(_Solved(broken), 0)
     assert result.passed == (rel < 1e-14)
     assert result.passed == (result.worst_slack > 0)
 
@@ -193,9 +196,79 @@ def test_cutoff_decay_negative_control(monkeypatch):
     # a defect that does not decay with R must fail the check
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
     monkeypatch.setattr(audit_mod, "cutoff_defect", lambda *args: 1.0)
-    result = audit_mod.check_cutoff_decay(base, 0)
+    result = audit_mod.check_cutoff_decay(_Solved(base), 0)
     assert not result.passed
     assert result.worst_slack <= 0
+
+
+def _packed(mask):
+    return np.packbits(mask.cells).tobytes()
+
+
+def test_audit_solves_each_instance_once(monkeypatch):
+    # one Cholesky factorization per distinct mask that the solving checks
+    # draw (torsion_nonnegative/energy_identity, the nested pairs, and the
+    # projection pairs), however many checks draw it
+    base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
+    grid = base.grid
+    factored = []
+    exact = DirichletOperator._cho.func
+
+    def counted(self):
+        factored.append(_packed(self.mask))
+        return exact(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(DirichletOperator, "_cho")
+    monkeypatch.setattr(DirichletOperator, "_cho", prop)
+
+    rng = np.random.default_rng(0)
+    drawn = {_packed(audit_mod._random_mask(rng, grid))
+             for _ in range(audit_mod.TRIALS)}
+    rng = np.random.default_rng(0)
+    for _ in range(audit_mod.TRIALS):
+        drawn |= {_packed(m) for m in audit_mod._nested_pair(rng, grid)}
+    rng = np.random.default_rng(0)
+    for _ in range(audit_mod.PROJECTION_PAIRS):
+        inner, outer = audit_mod._nested_pair(rng, grid)
+        drawn |= {_packed(inner), _packed(outer)}
+        for _ in range(audit_mod.PROJECTION_COMPETITORS):
+            rng.standard_normal(inner.n_active)
+
+    bounds_audit(base, 0)
+    assert len(factored) == len(drawn)
+    assert set(factored) == drawn
+    # a selection runs only its own checks' work
+    factored.clear()
+    bounds_audit(base, 0, ["stiffness_symmetry", "poincare"])
+    assert factored == []
+
+
+@pytest.mark.parametrize("grid", [(1, 4.0, 64), (2, 4.0, 12)])
+def test_audit_check_alone_matches_full_suite(grid):
+    # the shared memo hands each check the bits it would compute alone
+    base = assemble_stiffness(build_grid(*grid), 0.5)
+    full = bounds_audit(base, 3)
+    assert [r.name for r in full] == audit_mod.check_names()
+    for result in full:
+        (alone,) = bounds_audit(base, 3, [result.name])
+        assert alone == result
+        assert repr(alone.worst_slack) == repr(result.worst_slack)
+
+
+def test_audit_duality_negative_control(monkeypatch):
+    # torsion functions off by 1e-4 relative must break the duality identity
+    base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
+    assert bounds_audit(base, 0, ["duality"])[0].passed
+    exact = audit_mod.solve_torsion
+
+    def corrupted(op):
+        tor = exact(op)
+        return replace(tor, values=GridFunction(op.grid, tor.values.values * (1 + 1e-4)))
+
+    monkeypatch.setattr(audit_mod, "solve_torsion", corrupted)
+    result = bounds_audit(base, 0, ["duality"])[0]
+    assert not result.passed and result.worst_slack < 0
 
 
 def test_audit_cli_exit_3_on_failure(tmp_path, monkeypatch):
@@ -256,6 +329,8 @@ MINIMIZE = {"grid": GRID, "s": 0.5, "iterations": 10, "seeds": [0],
             "functional": {"name": "l1", "k": 1, "combiner": "l1"}}
 THREE_CELLS = {"type": "indices", "indices": [3, 4, 5]}
 TWO_BALL = {"total_volume_cells": 16, "distances_cells": [4, 8]}
+LIEB = {"trials": 2, "seeds": [0]}
+CLASSIFY = {"generator": "translating-bump", "seeds": [0]}
 
 
 @pytest.mark.parametrize("kind, config, field", [
@@ -306,9 +381,45 @@ TWO_BALL = {"total_volume_cells": 16, "distances_cells": [4, 8]}
                  "distances_cells", id="two-ball-no-distance"),
     pytest.param("two-ball", dict(TWO_BALL, total_volume_cells=200),
                  "total_volume_cells", id="two-ball-volume-over-grid"),
+    # lieb on the 64-cell grid: at the parent "5" is a TypeError traceback
+    # and 70 a ValueError from rng.integers (exit 1), -3 runs 0 trials
+    pytest.param("lieb", dict(LIEB, trials="5"), "trials", id="lieb-trials-string"),
+    pytest.param("lieb", dict(LIEB, trials=-3), "trials", id="lieb-trials-negative"),
+    pytest.param("lieb", dict(LIEB, mask_cells_min=0), "mask_cells_min",
+                 id="lieb-cells-min-zero"),
+    pytest.param("lieb", dict(LIEB, mask_cells_max=70), "mask_cells_max",
+                 id="lieb-cells-max-over-grid"),
+    pytest.param("lieb", dict(LIEB, mask_cells_max=63), "mask_cells_max",
+                 id="lieb-cells-max-no-window-room"),
+    pytest.param("lieb", dict(LIEB, mask_cells_min=12, mask_cells_max=6),
+                 "mask_cells_min", id="lieb-cells-min-over-max"),
+    # classify: at the parent "5" is a TypeError traceback (exit 1)
+    pytest.param("classify", dict(CLASSIFY, length="5"), "length",
+                 id="classify-length-string"),
+    pytest.param("classify", dict(CLASSIFY, length=5), "length",
+                 id="classify-length-under-8"),
+    pytest.param("classify", dict(CLASSIFY, epsilon_fraction=0.25),
+                 "epsilon_fraction", id="classify-epsilon-quarter"),
+    pytest.param("classify", dict(CLASSIFY, epsilon_fraction=0), "epsilon_fraction",
+                 id="classify-epsilon-zero"),
+    # audit: at the parent 5 is a TypeError traceback and "dunford" an
+    # unknown check 'd'; an empty selection passes vacuously
+    pytest.param("audit", {"checks": 5}, "checks", id="audit-checks-number"),
+    pytest.param("audit", {"checks": "dunford"}, "checks", id="audit-checks-string"),
+    pytest.param("audit", {"checks": []}, "checks", id="audit-checks-empty"),
+    # JSON booleans are not integers
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, iterations=True),
+                 "iterations", id="iterations-true"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, seeds=[True]),
+                 "seeds", id="seeds-true"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  functional={"name": "l1", "k": True, "combiner": "l1"}),
+                 "functional", id="functional-k-true"),
+    pytest.param("lieb", dict(LIEB, seeds=[False]), "seeds", id="lieb-seeds-false"),
 ])
 def test_main_rejects_field_before_any_output(tmp_path, capsys, kind, config, field):
-    config = dict({"grid": GRID, "s": 0.5}, **config)
+    if kind != "classify":
+        config = dict({"grid": GRID, "s": 0.5}, **config)
     cfg = _write_config(tmp_path, config)
     rc = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -327,6 +438,11 @@ def test_validate_accepts_field_bounds():
     # cells puts the outer ball edges at 3 + 1 = 4, the box edge (49 fails)
     validate_config("two-ball", dict(TWO_BALL, grid=GRID, s=0.5,
                                      distances_cells=[1, 48]))
+    for cells in ({"mask_cells_min": 1, "mask_cells_max": 62},
+                  {"mask_cells_min": 5, "mask_cells_max": 5}):
+        validate_config("lieb", dict(LIEB, grid=GRID, s=0.5, **cells))
+    validate_config("classify", dict(CLASSIFY, length=8, epsilon_fraction=0.2499))
+    validate_config("audit", {"checks": ["dunford", "duality"]})
 
 
 def test_main_list_checks(capsys):

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
 
 from fracshape import solvers
 from fracshape.errors import (DomainEmptyError, NumericError, ParameterError,
                               StructuralError)
-from fracshape.forms import assemble_stiffness
+from fracshape.forms import StiffnessOperator, assemble_stiffness
 from fracshape.grid import (GridFunction, build_grid, empty_mask, full_mask,
                             mask_from_indices)
 from fracshape.solvers import (DirichletOperator, alpha_exponent_fit,
@@ -191,6 +191,35 @@ def test_lowest_eigh_is_scipy_eigh_to_the_bit(base_64, base_2d):
             assert np.all(residuals <= solvers.EIG_RTOL)
 
 
+def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
+    # dpotrf/dpotrs and the eigenvalue-only dsyevr make the calls that
+    # cho_factor/cho_solve and eigvalsh make
+    rng = np.random.default_rng(5)
+    for base, m in ((base_64, 6), (base_64, 24), (base_2d, 20), (base_2d, 57)):
+        grid = base.grid
+        outer = np.sort(rng.choice(grid.n_cells, m, replace=False))
+        inner = outer[rng.random(m) < 0.6]
+        op_a = restrict(base, mask_from_indices(grid, outer))
+        op_b = restrict(base, mask_from_indices(grid, inner))
+        rhs = rng.standard_normal(m)
+        assert np.array_equal(op_a.solve(rhs), cho_solve(cho_factor(op_a.matrix()), rhs))
+        indices = op_a.active_index
+        d = (solvers._dense_resolvent(op_a, indices)
+             - solvers._dense_resolvent(op_b, indices))
+        assert resolvent_norm_diff(op_a, op_b) == float(np.abs(eigvalsh(d)).max())
+
+
+def test_cholesky_rejects_indefinite_matrix(base_64):
+    a = base_64.matrix().copy()
+    a[30, 30] = -1.0
+    broken = StiffnessOperator(base_64.grid, base_64.params, a, base_64.tail)
+    op = restrict(broken, mask_from_indices(base_64.grid, range(25, 35)))
+    with pytest.raises(NumericError, match="dpotrf"):
+        op._cho
+    with pytest.raises(NumericError):
+        solve_torsion(op)
+
+
 def test_residual_checks_can_fail(base_64, monkeypatch):
     # answers off by 1e-6 relative must miss SOLVE_RTOL and EIG_RTOL
     op = restrict(base_64, mask_from_indices(base_64.grid, range(20, 44)))
@@ -223,6 +252,11 @@ def test_residual_checks_fail_on_nan(base_64, monkeypatch):
                         lambda self, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(NumericError):
         solve_torsion(op)
+    # a NaN resolvent difference makes dsyevr report info != 0
+    monkeypatch.setattr(solvers, "_dense_resolvent",
+                        lambda op, indices: np.full((indices.size,) * 2, np.nan))
+    with pytest.raises(NumericError):
+        resolvent_norm_diff(op, None)
 
 
 def test_resolvent_norm_diff_vs_empty(base_64):
