@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import cutoff_defect, lieb_translation_search
+from .errors import ParameterError
 from .forms import StiffnessOperator, assemble_stiffness, gagliardo_sq
 from .grid import DomainMask, GridFunction, build_grid, empty_mask, mask_from_indices
 from .solvers import (DirichletOperator, TorsionFunction, duality_residual,
@@ -298,6 +299,24 @@ def check_names() -> list:
     return [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
 
 
+def select_checks(checks: list | None) -> list:
+    """The check functions named in `checks`, in suite order; None selects
+    all.  A string, an empty list or an unknown name is a ParameterError,
+    since each would otherwise pass vacuously or select by substring."""
+    if checks is None:
+        return list(ALL_CHECKS)
+    if not (isinstance(checks, (list, tuple)) and checks
+            and all(type(x) is str for x in checks)):
+        raise ParameterError(
+            f"checks must be a nonempty list of check names, got {checks!r}")
+    names = check_names()
+    unknown = sorted(set(checks) - set(names))
+    if unknown:
+        raise ParameterError(f"unknown check {unknown[0]!r}; the checks are "
+                             f"{', '.join(names)}")
+    return [fn for fn, name in zip(ALL_CHECKS, names) if name in checks]
+
+
 def bounds_audit(base: StiffnessOperator | None = None, seed: int = 0,
                  checks: list | None = None) -> list:
     """Run the inequality suite; returns a CheckResult per check.
@@ -306,11 +325,10 @@ def bounds_audit(base: StiffnessOperator | None = None, seed: int = 0,
     (base, seed): each distinct mask they draw is restricted, factored and
     solved once, and the memo is dropped on return.  Only the selected
     checks' work runs, and each result is the same to the bit as the check
-    run alone.
+    run alone.  `checks` is validated by `select_checks`.
     """
+    selected = select_checks(checks)
     if base is None:
         base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
-    selected = [fn for fn, name in zip(ALL_CHECKS, check_names())
-                if checks is None or name in checks]
     solved = _Solved(base)
     return [fn(solved, seed) for fn in selected]

@@ -75,10 +75,19 @@ def validate_config(kind: str, config: dict) -> dict:
         _fail(sorted(unknown)[0], "unknown key")
     if "grid" in config:
         g = config["grid"]
-        for f in ("dim", "half_width", "resolution"):
-            if f not in g:
-                _fail(f"grid.{f}", "missing")
-        grid = build_grid(g["dim"], g["half_width"], g["resolution"])
+        fields = ("dim", "half_width", "resolution")
+        if not isinstance(g, dict):
+            _fail("grid", f"must be an object with keys {', '.join(fields)}")
+        missing = [f for f in fields if f not in g]
+        if missing:
+            _fail(f"grid.{missing[0]}", "missing")
+        unknown = sorted(set(g) - set(fields))
+        if unknown:
+            _fail(f"grid.{unknown[0]}", "unknown key")
+        try:
+            grid = build_grid(g["dim"], g["half_width"], g["resolution"])
+        except ParameterError as exc:
+            _fail(f"grid.{exc.field}", str(exc))
         if kind != "grid" and grid.n_cells > MAX_DENSE_CELLS:
             _fail("grid", f"{grid.n_cells} cells, over the dense-assembly "
                           f"budget of {MAX_DENSE_CELLS}")
@@ -114,6 +123,11 @@ def validate_config(kind: str, config: dict) -> dict:
             shapeopt.make_functional(f["name"], f["k"], f["combiner"])
         except ParameterError as exc:
             _fail("functional", str(exc))
+        # a k over the mask's cell count only pads +inf eigenvalues, and
+        # minimize_shape allocates that padding
+        if "volume_cells" in config and f["k"] > config["volume_cells"]:
+            _fail("functional.k", f"must be at most volume_cells "
+                                  f"({config['volume_cells']}), got {f['k']!r}")
     if "generator" in config and config["generator"] not in GENERATORS:
         _fail("generator", f"must be one of {sorted(GENERATORS)}")
     for fld, lo in (("iterations", 1), ("trials", 1), ("length", cc.MIN_LENGTH)):
@@ -127,14 +141,10 @@ def validate_config(kind: str, config: dict) -> dict:
     if "schedule" in config:
         _check_schedule(config["schedule"])
     if "checks" in config:
-        names = config["checks"]
-        # an empty selection would pass vacuously
-        if not (isinstance(names, list) and names
-                and all(type(x) is str for x in names)):
-            _fail("checks", f"must be a nonempty list of check names, got {names!r}")
-        bad = set(names) - set(audit_mod.check_names())
-        if bad:
-            _fail("checks", f"unknown check {sorted(bad)[0]!r}")
+        try:
+            audit_mod.select_checks(config["checks"])
+        except ParameterError as exc:
+            _fail("checks", str(exc))
     return config
 
 

@@ -12,12 +12,11 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator, gagliardo_sq, weighted_gagliardo_sq
 from .grid import (DomainMask, Grid, GridFunction, build_grid, distances_from,
-                   mask_from_indices)
+                   mask_from_indices, min_pair_distance)
 from .solvers import eigenpairs, restrict
 
 PLATEAU_SLOPE = 0.02    # relative slope threshold for plateau rungs
@@ -252,7 +251,8 @@ def dichotomy_split(op: StiffnessOperator, u: GridFunction, center,
     sup_v = np.flatnonzero(v.values != 0.0)
     sup_w = np.flatnonzero(w.values != 0.0)
     if sup_v.size and sup_w.size:
-        gap = float(cdist(grid.cell_centers[sup_v], grid.cell_centers[sup_w]).min())
+        centers = grid.cell_centers
+        gap = min_pair_distance(centers[sup_v], centers[sup_w])
     else:
         gap = float(R2 - 2.0 * R1)
     diff = GridFunction(grid, u.values - v.values - w.values)

@@ -6,7 +6,15 @@ class FracshapeError(Exception):
 
 
 class ParameterError(FracshapeError, ValueError):
-    """An input parameter is out of range; the message names the field."""
+    """An input parameter is out of range; the message names the field.
+
+    `field`, when given, is the parameter's name, for callers that report
+    it under a path of their own (a config's `grid.half_width`).
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class BudgetError(ParameterError):

@@ -7,6 +7,7 @@ box (homogeneous Dirichlet exterior condition).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import ParameterError, StructuralError
 # Grid construction budget.  Grids that are only sampled (`classify` builds
 # up to 7,616 cells) may exceed forms.MAX_DENSE_CELLS, the assembly budget.
 MAX_CELLS = 16384
+# point pairs per block of `min_pair_distance`
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,18 +80,53 @@ def distances_from(grid: Grid, center) -> np.ndarray:
     return np.sqrt(((grid.cell_centers - center) ** 2).sum(axis=1))
 
 
+def min_pair_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Smallest Euclidean distance between a point of p (m, dim) and one of
+    q (n, dim).
+
+    The squared distances are summed axis by axis, as `cdist` sums d * d,
+    and the square root is taken of their minimum; sqrt is monotone, so the
+    result equals `cdist(p, q).min()` to the bit.  Rows of p go in chunks
+    so that no m x n array exists for large supports.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if not (len(p) and len(q)):
+        raise ParameterError("min_pair_distance needs two nonempty point sets")
+    rows = max(1, _PAIR_CHUNK // len(q))
+    best = np.inf
+    for start in range(0, len(p), rows):
+        block = p[start:start + rows]
+        sq = np.zeros((len(block), len(q)))
+        for axis in range(p.shape[1]):
+            d = block[:, axis, None] - q[None, :, axis]
+            sq += d * d
+        best = min(best, sq.min())
+    return float(np.sqrt(best))
+
+
+def _is_int(x) -> bool:
+    # a bool is an int to isinstance; a JSON true must not pass as 1
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def build_grid(dim: int, half_width: float, resolution: int) -> Grid:
-    """Construct a uniform grid, validating the dense-assembly budget."""
-    if dim not in (1, 2):
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
-    if not (half_width > 0):
-        raise ParameterError(f"half_width must be > 0, got {half_width}")
-    if not (isinstance(resolution, (int, np.integer)) and resolution >= 2):
-        raise ParameterError(f"resolution must be an integer >= 2, got {resolution}")
+    """Construct a uniform grid, validating each field and the grid budget.
+
+    A rejected field raises ParameterError with `field` set to its name.
+    """
+    if not (_is_int(dim) and dim in (1, 2)):
+        raise ParameterError(f"dim must be 1 or 2, got {dim!r}", field="dim")
+    if not ((_is_int(half_width) or isinstance(half_width, (float, np.floating)))
+            and math.isfinite(half_width) and half_width > 0):
+        raise ParameterError(f"half_width must be a finite number > 0, got "
+                             f"{half_width!r}", field="half_width")
+    if not (_is_int(resolution) and resolution >= 2):
+        raise ParameterError(f"resolution must be an integer >= 2, got "
+                             f"{resolution!r}", field="resolution")
     if resolution ** dim > MAX_CELLS:
         raise ParameterError(
             f"resolution {resolution} gives {resolution ** dim} cells, "
-            f"over the budget of {MAX_CELLS}"
+            f"over the budget of {MAX_CELLS}", field="resolution"
         )
     return Grid(dim=int(dim), half_width=float(half_width), resolution=int(resolution))
 

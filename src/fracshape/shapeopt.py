@@ -13,13 +13,11 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial.distance import cdist
 
 from .errors import DomainEmptyError, ParameterError, StructuralError
 from .forms import StiffnessOperator, assemble_stiffness
 from .grid import (DomainMask, Grid, GridFunction, distances_from, l2_distance,
-                   mask_from_indices)
+                   mask_from_indices, min_pair_distance)
 from .solvers import (DirichletOperator, TorsionFunction, _lowest_eigh,
                       eigenpairs, eigenvalues_or_inf, resolvent_norm_diff,
                       restrict, solve_torsion)
@@ -27,9 +25,6 @@ from .solvers import (DirichletOperator, TorsionFunction, _lowest_eigh,
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
 CAUCHY_FRACTION = 0.02          # relative torsion spread for a compactness verdict
-# face-neighbour (cross) structuring element of each grid dimension, for
-# connected components
-FACE_STRUCTURE = {dim: ndimage.generate_binary_structure(dim, 1) for dim in (1, 2)}
 
 
 # --- functional grammar -------------------------------------------------------
@@ -226,8 +221,8 @@ def _neighbour_table(grid: Grid) -> np.ndarray:
     """(n_cells, 2 dim) flat indices of each cell's face neighbours; a
     neighbour outside the box is the extra slot n_cells."""
     r = grid.resolution
-    padded = np.pad(np.arange(grid.n_cells).reshape(grid.shape), 1,
-                    constant_values=grid.n_cells)
+    padded = np.full((r + 2,) * grid.dim, grid.n_cells)
+    padded[(slice(1, r + 1),) * grid.dim] = np.arange(grid.n_cells).reshape(grid.shape)
     columns = []
     for axis in range(grid.dim):
         for step in (-1, 1):
@@ -366,16 +361,56 @@ class DichotomyReport:
 
 
 def connected_components(mask: DomainMask) -> list:
-    """Face-adjacent lattice components as index arrays, largest first."""
+    """Face-adjacent lattice components as sorted index arrays, largest
+    first, ties by first cell.
+
+    Runs of active cells along the last axis are joined through the face
+    neighbours of `_neighbour_table` along the other axes: each joining
+    edge hooks the larger of its two root runs under the smaller, and
+    pointer jumping flattens the forest, until no edge joins two roots.
+    Each round at least halves the number of trees in a component.
+    """
     grid = mask.grid
-    labels, n = ndimage.label(mask.cells.reshape(grid.shape), FACE_STRUCTURE[grid.dim])
-    flat = labels.ravel()
-    comps = [np.flatnonzero(flat == i) for i in range(1, n + 1)]
-    return sorted(comps, key=lambda idx: (-idx.size, idx[0]))
+    active = np.flatnonzero(mask.cells)
+    if active.size == 0:
+        return []
+    table = _neighbour_table(grid)[active]
+    on = np.append(mask.cells, False)
+    # an active cell whose -1 neighbour along the last axis is off starts a run
+    run = np.cumsum(~on[table[:, -2]]) - 1
+    run_of = np.empty(grid.n_cells + 1, dtype=np.intp)
+    run_of[active] = run
+    ahead = table[:, 1:-2:2].ravel()   # +1 neighbours along the other axes
+    joined = on[ahead]
+    u, v = np.repeat(run, grid.dim - 1)[joined], run_of[ahead[joined]]
+    root = np.arange(run[-1] + 1)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    # runs are numbered in cell order, so a root is the run holding its
+    # component's first cell, and a stable sort on it lists the components
+    # by first cell, each in cell order
+    labels = root[run]
+    cells = active[np.argsort(labels, kind="stable")]
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    rank = np.argsort(-sizes, kind="stable")
+    return [cells[i:i + z] for i, z in zip(starts[rank].tolist(),
+                                           sizes[rank].tolist())]
 
 
 def _component_gap(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(cdist(grid.cell_centers[a], grid.cell_centers[b]).min())
+    centers = grid.cell_centers
+    return min_pair_distance(centers[a], centers[b])
 
 
 def _two_clusters(grid: Grid, comps: list):
@@ -416,18 +451,26 @@ def _analyze_mask(base: StiffnessOperator, mask: DomainMask):
 
 def _recentered_torsion(t: TorsionFunction) -> GridFunction:
     """Shift the torsion by whole cells so its mass centroid sits at the
-    box center (values rolled on the lattice, zero-filled)."""
+    box center (values moved on the lattice, zero-filled), one axis at a
+    time."""
     grid = t.mask.grid
     if t.values.values.sum() <= 0:
         return t.values
+    r = grid.resolution
     out = t.values.values.reshape(grid.shape)
-    coords = np.arange(grid.resolution)
+    coords = np.arange(r)
     for axis in range(grid.dim):
         profile = out.sum(axis=tuple(a for a in range(grid.dim) if a != axis))
         centroid = (coords * profile).sum() / profile.sum()
-        shift = np.zeros(grid.dim)
-        shift[axis] = int(round((grid.resolution - 1) / 2.0 - centroid))
-        out = ndimage.shift(out, shift, order=0, mode="constant")
+        shift = int(round((r - 1) / 2.0 - centroid))
+        # cell i takes the value of cell i - shift; |shift| < r, as the
+        # centroid lies in [0, r - 1]
+        dst, src = [slice(None)] * grid.dim, [slice(None)] * grid.dim
+        dst[axis] = slice(max(shift, 0), r + min(shift, 0))
+        src[axis] = slice(max(-shift, 0), r - max(shift, 0))
+        shifted = np.zeros_like(out)
+        shifted[tuple(dst)] = out[tuple(src)]
+        out = shifted
     return GridFunction(grid, out.ravel())
 
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +420,32 @@ CLASSIFY = {"generator": "translating-bump", "seeds": [0]}
                                   functional={"name": "l1", "k": True, "combiner": "l1"}),
                  "functional", id="functional-k-true"),
     pytest.param("lieb", dict(LIEB, seeds=[False]), "seeds", id="lieb-seeds-false"),
+    # grid fields: at the parent 5 and a null half width are TypeError
+    # tracebacks (exit 1), and true runs as 1
+    pytest.param("eig", {"grid": 5, "mask": "full", "k": 1}, "grid",
+                 id="grid-not-object"),
+    pytest.param("torsion", {"grid": dict(GRID, half_width=None), "mask": "full"},
+                 "grid.half_width", id="grid-half-width-null"),
+    pytest.param("torsion", {"grid": dict(GRID, half_width="4"), "mask": "full"},
+                 "grid.half_width", id="grid-half-width-string"),
+    pytest.param("torsion", {"grid": dict(GRID, half_width=float("nan")),
+                             "mask": "full"},
+                 "grid.half_width", id="grid-half-width-nan"),
+    pytest.param("eig", {"grid": dict(GRID, dim=True, half_width=True),
+                         "mask": "full", "k": 1},
+                 "grid.dim", id="grid-dim-true"),
+    pytest.param("eig", {"grid": dict(GRID, half_width=True), "mask": "full", "k": 1},
+                 "grid.half_width", id="grid-half-width-true"),
+    pytest.param("eig", {"grid": dict(GRID, resolution=[64]), "mask": "full", "k": 1},
+                 "grid.resolution", id="grid-resolution-list"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  grid=dict(GRID, spacing=0.1)),
+                 "grid.spacing", id="grid-unknown-key"),
+    # at the parent k = 1e9 passed and minimize_shape padded 7.45 GiB of +inf
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  functional={"name": "big", "k": 1000000000,
+                                              "combiner": "l1"}),
+                 "functional.k", id="functional-k-over-volume"),
 ])
 def test_main_rejects_field_before_any_output(tmp_path, capsys, kind, config, field):
     if kind != "classify":
@@ -443,6 +473,67 @@ def test_validate_accepts_field_bounds():
         validate_config("lieb", dict(LIEB, grid=GRID, s=0.5, **cells))
     validate_config("classify", dict(CLASSIFY, length=8, epsilon_fraction=0.2499))
     validate_config("audit", {"checks": ["dunford", "duality"]})
+
+
+def test_validate_bounds_functional_k_by_volume():
+    cfg = dict(MINIMIZE, volume_cells=8,
+               functional={"name": "f", "k": 8, "combiner": "l1 + l8"})
+    validate_config("minimize", cfg)
+    cfg["functional"] = dict(cfg["functional"], k=9)
+    with pytest.raises(ParameterError, match="'functional.k'"):
+        validate_config("minimize", cfg)
+
+
+@pytest.mark.parametrize("checks, match", [
+    (["dunfrod"], "unknown check 'dunfrod'"),
+    ("dunford", "nonempty list"),       # at the parent: selected by substring
+    ([], "nonempty list"),              # at the parent: an audit of no check
+    (["dunford", 3], "nonempty list"),
+])
+def test_bounds_audit_rejects_bad_selection(checks, match):
+    # at the parent bounds_audit(None, 0, ["dunfrod"]) returned [], an audit
+    # that passes vacuously
+    with pytest.raises(ParameterError, match=match):
+        bounds_audit(None, 0, checks)
+    with pytest.raises(ParameterError, match=f"'checks'.*{match}"):
+        validate_config("audit", {"checks": checks})
+
+
+def test_select_checks_keeps_suite_order():
+    picked = audit_mod.select_checks(["poincare", "stiffness_symmetry"])
+    assert [fn.__name__ for fn in picked] == ["check_stiffness_symmetry",
+                                              "check_poincare"]
+    assert audit_mod.select_checks(None) == audit_mod.ALL_CHECKS
+
+
+# the scipy subpackages that fracshape does not use; importing any of them
+# costs start-up time in every CLI process
+HEAVY_SCIPY = ("scipy.ndimage", "scipy.spatial", "scipy.special", "scipy.sparse")
+_IMPORT_PROBE = """
+import sys
+{before}
+import fracshape.cli
+loaded = [m for m in {heavy!r} if m in sys.modules]
+sys.exit(f"loaded: {{loaded}}" if loaded else 0)
+"""
+
+
+@pytest.mark.parametrize("before, clean", [
+    ("", True),
+    # negative control: the probe fails once scipy.ndimage is loaded
+    ("import scipy.ndimage", False),
+])
+def test_cli_import_loads_no_unused_scipy(before, clean):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = _IMPORT_PROBE.format(before=before, heavy=HEAVY_SCIPY)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode == 0) == clean, proc.stderr
+    if not clean:
+        assert "scipy.ndimage" in proc.stderr
 
 
 def test_main_list_checks(capsys):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from fracshape import grid as grid_mod
 from fracshape.errors import ParameterError, StructuralError
 from fracshape.grid import (DomainMask, GridFunction, build_grid, empty_mask,
                             full_mask, grid_from_json, grid_to_json, l2_inner,
                             mask_from_indices, mask_from_json, mask_to_json,
-                            translate_mask)
+                            min_pair_distance, translate_mask)
 
 
 def test_build_grid_basic():
@@ -41,6 +43,50 @@ def test_build_grid_2d_ordering():
 def test_build_grid_rejects(kwargs):
     with pytest.raises(ParameterError):
         build_grid(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", True), ("dim", 1.0), ("dim", None), ("dim", "1"),
+    ("half_width", True), ("half_width", None), ("half_width", "4"),
+    ("half_width", [4.0]), ("half_width", float("nan")),
+    ("half_width", float("inf")), ("resolution", True), ("resolution", 8.0),
+    ("resolution", None),
+])
+def test_build_grid_rejects_non_numbers_naming_the_field(field, value):
+    # at the parent True passed as 1 and None or a string raised TypeError
+    kwargs = dict(dim=1, half_width=4.0, resolution=8)
+    kwargs[field] = value
+    with pytest.raises(ParameterError) as info:
+        build_grid(**kwargs)
+    assert info.value.field == field
+
+
+def test_build_grid_accepts_numpy_scalars():
+    g = build_grid(np.int64(2), np.float64(1.5), np.int32(4))
+    assert (g.dim, g.half_width, g.resolution) == (2, 1.5, 4)
+    assert build_grid(1, 4, 8).half_width == 4.0
+
+
+def test_min_pair_distance_is_cdist_min_to_the_bit():
+    rng = np.random.default_rng(23)
+    for dim, res in ((1, 128), (2, 64)):
+        centers = build_grid(dim, 2.0, res).cell_centers
+        for _ in range(150):
+            m, n = rng.integers(1, min(200, len(centers) // 2), 2)
+            cells = rng.permutation(len(centers))
+            p, q = centers[cells[:m]], centers[cells[m:m + n]]
+            assert min_pair_distance(p, q) == cdist(p, q).min()
+        # off-lattice points
+        p, q = rng.normal(size=(50, dim)), 3.0 + rng.normal(size=(70, dim))
+        assert min_pair_distance(p, q) == cdist(p, q).min()
+    # 2D supports of 1,500 and 2,000 cells: 46 row blocks
+    cells = rng.permutation(len(centers))
+    p, q = centers[cells[:1500]], centers[cells[1500:3500]]
+    assert len(p) * len(q) > 40 * grid_mod._PAIR_CHUNK
+    assert min_pair_distance(p, q) == cdist(p, q).min()
+    assert min_pair_distance(p[:1], q[:1]) == cdist(p[:1], q[:1]).min()
+    with pytest.raises(ParameterError):
+        min_pair_distance(p[:0], q)
 
 
 def test_mask_volume_and_subset():

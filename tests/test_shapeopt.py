@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -5,9 +7,9 @@ from scipy import ndimage
 from fracshape import shapeopt, solvers
 from fracshape.errors import NumericError, ParameterError
 from fracshape.forms import assemble_stiffness
-from fracshape.grid import (DomainMask, build_grid, empty_mask, full_mask,
-                            mask_from_indices, translate_mask)
-from fracshape.shapeopt import (FACE_STRUCTURE, AnnealingSchedule, ball_mask,
+from fracshape.grid import (DomainMask, GridFunction, build_grid, empty_mask,
+                            full_mask, mask_from_indices, translate_mask)
+from fracshape.shapeopt import (AnnealingSchedule, ball_mask,
                                 connected_components, detect_dichotomy,
                                 eval_functional, gamma_distance,
                                 make_functional, minimize_shape,
@@ -209,7 +211,8 @@ def _erosion_boundary(grid, cells):
     """Active cells with an inactive face neighbour, by binary erosion (the
     box exterior counts as inactive)."""
     arr = cells.reshape(grid.shape)
-    erosion = ndimage.binary_erosion(arr, FACE_STRUCTURE[grid.dim], border_value=0)
+    cross = ndimage.generate_binary_structure(grid.dim, 1)
+    erosion = ndimage.binary_erosion(arr, cross, border_value=0)
     return np.flatnonzero(arr & ~erosion)
 
 
@@ -424,6 +427,74 @@ def test_volume_semicontinuity_rejects_divergent_tail(base_512):
     far = translate_mask(ball, [200])
     with pytest.raises(ParameterError):
         volume_semicontinuity_check(trajectory_from_masks(base_512, [ball, far] * 3))
+
+
+def _label_oracle(mask):
+    """Components by scipy.ndimage.label with the face (cross) structure."""
+    grid = mask.grid
+    labels, n = ndimage.label(mask.cells.reshape(grid.shape),
+                              ndimage.generate_binary_structure(grid.dim, 1))
+    flat = labels.ravel()
+    comps = [np.flatnonzero(flat == i) for i in range(1, n + 1)]
+    return sorted(comps, key=lambda idx: (-idx.size, idx[0]))
+
+
+def _oracle_masks():
+    rng = np.random.default_rng(19)
+    for dim, res in ((1, 2), (1, 7), (1, 64), (2, 2), (2, 5), (2, 16), (2, 33)):
+        g = build_grid(dim, 1.0, res)
+        multi = g.multi_index(np.arange(g.n_cells))
+        yield from (empty_mask(g), full_mask(g), mask_from_indices(g, [res // 2]),
+                    mask_from_indices(g, [g.n_cells - 1]),
+                    # a checkerboard: no cell has an active face neighbour
+                    DomainMask(g, multi.sum(axis=1) % 2 == 0))
+        if dim == 2:   # one path through every other row, alternating ends
+            yield DomainMask(g, (multi[:, 0] % 2 == 0) | (
+                multi[:, 1] == np.where(multi[:, 0] % 4 == 1, res - 1, 0)))
+        for density in (0.1, 0.3, 0.5, 0.6, 0.8):
+            for _ in range(30):
+                yield DomainMask(g, rng.random(g.n_cells) < density)
+
+
+def test_connected_components_is_ndimage_label():
+    n = 0
+    for mask in _oracle_masks():
+        comps, ref = connected_components(mask), _label_oracle(mask)
+        assert len(comps) == len(ref)
+        for c, r in zip(comps, ref):
+            assert c.dtype == r.dtype and np.array_equal(c, r)
+        n += 1
+    assert n >= 1000
+
+
+def _recentered_oracle(t):
+    """`_recentered_torsion` by scipy.ndimage.shift (order 0, zero fill)."""
+    grid = t.mask.grid
+    out = t.values.values.reshape(grid.shape)
+    coords = np.arange(grid.resolution)
+    for axis in range(grid.dim):
+        profile = out.sum(axis=tuple(a for a in range(grid.dim) if a != axis))
+        centroid = (coords * profile).sum() / profile.sum()
+        shift = np.zeros(grid.dim)
+        shift[axis] = int(round((grid.resolution - 1) / 2.0 - centroid))
+        out = ndimage.shift(out, shift, order=0, mode="constant")
+    return out.ravel()
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (1, 65), (2, 16), (2, 17)])
+def test_recentered_torsion_is_ndimage_shift(dim, res):
+    # blobs in each half (1D) or quadrant (2D) move toward the center with
+    # shifts of both signs along every axis
+    g = build_grid(dim, 2.0, res)
+    rng = np.random.default_rng(res)
+    multi = g.multi_index(np.arange(g.n_cells))
+    for corner in itertools.product((res // 5, res - 1 - res // 5), repeat=dim):
+        near = np.abs(multi - np.array(corner)).max(axis=1) <= res // 8
+        values = np.where(near, rng.random(g.n_cells), 0.0)
+        t = solvers.TorsionFunction(DomainMask(g, near), GridFunction(g, values), 0.0)
+        got = shapeopt._recentered_torsion(t).values
+        assert not np.array_equal(got, values)
+        assert got.tobytes() == _recentered_oracle(t).tobytes()
 
 
 def test_connected_components_2d():
