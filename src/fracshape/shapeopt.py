@@ -368,19 +368,18 @@ def connected_components(mask: DomainMask) -> list:
     neighbours of `_neighbour_table` along the other axes: each joining
     edge hooks the larger of its two root runs under the smaller, and
     pointer jumping flattens the forest, until no edge joins two roots.
-    Each round at least halves the number of trees in a component.
     """
     grid = mask.grid
     active = np.flatnonzero(mask.cells)
     if active.size == 0:
         return []
-    table = _neighbour_table(grid)[active]
+    table = _neighbour_table(grid)
     on = np.append(mask.cells, False)
     # an active cell whose -1 neighbour along the last axis is off starts a run
-    run = np.cumsum(~on[table[:, -2]]) - 1
+    run = np.cumsum(~on[table[active, -2]]) - 1
     run_of = np.empty(grid.n_cells + 1, dtype=np.intp)
     run_of[active] = run
-    ahead = table[:, 1:-2:2].ravel()   # +1 neighbours along the other axes
+    ahead = table[active, 1:-2:2].ravel()   # +1 neighbours along the other axes
     joined = on[ahead]
     u, v = np.repeat(run, grid.dim - 1)[joined], run_of[ahead[joined]]
     root = np.arange(run[-1] + 1)
