@@ -26,8 +26,7 @@ from . import concentration as cc
 from . import shapeopt
 from .errors import FracshapeError, ParameterError
 from .forms import MAX_DENSE_CELLS, assemble_stiffness
-from .grid import (DomainMask, build_grid, full_mask, grid_to_json,
-                   mask_from_indices, mask_to_json)
+from .grid import build_grid, full_mask, grid_to_json, mask_from_indices, mask_to_json
 from .serialize import write_csv, write_json, write_manifest
 from .solvers import eigenpairs, restrict, solve_torsion
 
@@ -37,193 +36,209 @@ GENERATORS = {
     "separating-pair": cc.separating_pair_sequence,
 }
 
-_SCHEMAS = {
-    "grid": {"required": {"grid"}, "optional": set()},
-    "eig": {"required": {"grid", "s", "mask", "k"}, "optional": {"seeds"}},
-    "torsion": {"required": {"grid", "s", "mask"}, "optional": {"seeds"}},
-    "two-ball": {"required": {"grid", "s", "total_volume_cells", "distances_cells"},
-                 "optional": set()},
-    "minimize": {"required": {"grid", "s", "functional", "volume_cells",
-                              "iterations", "seeds"},
-                 "optional": {"schedule"}},
-    "classify": {"required": {"generator", "seeds"},
-                 "optional": {"length", "epsilon_fraction"}},
-    "lieb": {"required": {"grid", "s", "trials", "seeds"},
-             "optional": {"mask_cells_min", "mask_cells_max"}},
-    "audit": {"required": set(),
-              "optional": {"grid", "s", "seeds", "checks"}},
-}
-# values of the optional fields when a config leaves them out
-_DEFAULTS = {"length": 10, "epsilon_fraction": 0.2,
-             "mask_cells_min": 4, "mask_cells_max": 16}
+# --- config schema ---------------------------------------------------------------
+# A rule is a callable (value, top) -> value that raises ParameterError.  `top`
+# holds the top-level fields validated so far, for bounds on an earlier field.
+# `grid`, `mask`, `functional` and `schedule` come back built.
+
+def _any(value, top):
+    return value
 
 
-def _fail(field: str, message: str):
-    raise ParameterError(f"config field {field!r}: {message}")
+def _int(lo, hi=math.inf):
+    """An integer in [lo, hi], where a bound may be a callable of `top`; a
+    JSON true or false is no integer."""
+    def _rule(value, top):
+        lo_, hi_ = (b(top) if callable(b) else b for b in (lo, hi))
+        if type(value) is int and lo_ <= value <= hi_:
+            return value
+        raise ParameterError(f"must be an integer in [{lo_}, {hi_}], got {value!r}")
+    return _rule
 
 
-def validate_config(kind: str, config: dict) -> dict:
-    """Schema check: required keys present, unknown keys rejected, values
-    within the preconditions of the operation being driven."""
-    schema = _SCHEMAS[kind]
-    keys = set(config)
-    missing = schema["required"] - keys
-    if missing:
-        _fail(sorted(missing)[0], "missing")
-    unknown = keys - schema["required"] - schema["optional"]
+def _num(lo, hi, ends="()"):
+    """A number between lo and hi, each end open "(" or closed "["."""
+    def _rule(value, top):
+        if (type(value) in (int, float) and (lo < value or ends[0] == "[" and value == lo)
+                and (value < hi or ends[1] == "]" and value == hi)):
+            return value
+        raise ParameterError(f"must be a number in {ends[0]}{lo}, {hi}{ends[1]}, "
+                             f"got {value!r}")
+    return _rule
+
+
+def _str(choices=None):
+    """A string, one of `choices` if given."""
+    def _rule(value, top):
+        if type(value) is str and (choices is None or value in choices):
+            return value
+        what = "a string" if choices is None else f"one of {sorted(choices)}"
+        raise ParameterError(f"must be {what}, got {value!r}")
+    return _rule
+
+
+def _list(item):
+    def _rule(value, top):
+        if not (isinstance(value, list) and value):
+            raise ParameterError(f"must be a nonempty list, got {value!r}")
+        return [item(x, top) for x in value]
+    return _rule
+
+
+def _obj(table, then=_any):
+    """An object with the fields of `table`, then checked whole by `then`."""
+    def _rule(value, top):
+        if not isinstance(value, dict):
+            raise ParameterError(f"must be an object with keys {', '.join(table)}, "
+                                 f"got {value!r}")
+        return then(_walk(table, value, top), top)
+    _rule.fields = table
+    return _rule
+
+
+def _walk(table, obj, top=None):
+    """The fields of `table` in order.  An entry is a rule, for a required
+    field, or (rule, default); a default passes the rule too.  `...` marks
+    a required field."""
+    unknown = sorted(set(obj) - set(table), key=str)
     if unknown:
-        _fail(sorted(unknown)[0], "unknown key")
-    if "grid" in config:
-        g = config["grid"]
-        fields = ("dim", "half_width", "resolution")
-        if not isinstance(g, dict):
-            _fail("grid", f"must be an object with keys {', '.join(fields)}")
-        missing = [f for f in fields if f not in g]
-        if missing:
-            _fail(f"grid.{missing[0]}", "missing")
-        unknown = sorted(set(g) - set(fields))
-        if unknown:
-            _fail(f"grid.{unknown[0]}", "unknown key")
+        raise ParameterError(f"unknown key; the keys are {', '.join(table)}",
+                             field=unknown[0])
+    out = {}
+    for name, entry in table.items():
+        rule, default = entry if isinstance(entry, tuple) else (entry, ...)
+        if name not in obj and default is ...:
+            raise ParameterError("missing", field=name)
         try:
-            grid = build_grid(g["dim"], g["half_width"], g["resolution"])
+            out[name] = rule(obj.get(name, default), out if top is None else top)
         except ParameterError as exc:
-            _fail(f"grid.{exc.field}", str(exc))
-        if kind != "grid" and grid.n_cells > MAX_DENSE_CELLS:
-            _fail("grid", f"{grid.n_cells} cells, over the dense-assembly "
-                          f"budget of {MAX_DENSE_CELLS}")
-        if "mask" in config:
-            n_active = _build_mask(grid, config["mask"]).n_active
-            if "k" in config and not _int_in(config["k"], 1, n_active):
-                _fail("k", f"must be an integer in [1, {n_active}] (the mask's "
-                           f"cell count), got {config['k']!r}")
-        for fld in ("volume_cells", "total_volume_cells"):
-            if fld in config and not _int_in(config[fld], 2, grid.n_cells):
-                _fail(fld, f"must be an integer in [2, {grid.n_cells}], "
-                           f"got {config[fld]!r}")
-        if "distances_cells" in config:
-            _check_distances(grid, config["total_volume_cells"],
-                             config["distances_cells"])
-        if kind == "lieb":
-            _check_lieb_cells(grid, config)
-    # type(x) is int, not isinstance, throughout: a JSON true is no integer
-    if "s" in config and not (type(config["s"]) in (int, float)
-                              and 0 < config["s"] < 1):
-        _fail("s", f"must lie in (0, 1), got {config['s']}")
-    if "seeds" in config:
-        seeds = config["seeds"]
-        if (not isinstance(seeds, list) or not seeds
-                or not all(type(x) is int for x in seeds)):
-            _fail("seeds", "must be a nonempty list of integers")
-    if "functional" in config:
-        f = config["functional"]
-        for fld in ("name", "k", "combiner"):
-            if fld not in f:
-                _fail(f"functional.{fld}", "missing")
-        try:
-            shapeopt.make_functional(f["name"], f["k"], f["combiner"])
-        except ParameterError as exc:
-            _fail("functional", str(exc))
-        # a k over the mask's cell count only pads +inf eigenvalues, and
-        # minimize_shape allocates that padding
-        if "volume_cells" in config and f["k"] > config["volume_cells"]:
-            _fail("functional.k", f"must be at most volume_cells "
-                                  f"({config['volume_cells']}), got {f['k']!r}")
-    if "generator" in config and config["generator"] not in GENERATORS:
-        _fail("generator", f"must be one of {sorted(GENERATORS)}")
-    for fld, lo in (("iterations", 1), ("trials", 1), ("length", cc.MIN_LENGTH)):
-        if fld in config and not _int_in(config[fld], lo, math.inf):
-            _fail(fld, f"must be an integer >= {lo}, got {config[fld]!r}")
-    if "epsilon_fraction" in config:
-        frac = config["epsilon_fraction"]
-        # classify takes epsilon in (0, mass_limit / 4)
-        if not (type(frac) in (int, float) and 0 < frac < 0.25):
-            _fail("epsilon_fraction", f"must lie in (0, 0.25), got {frac!r}")
-    if "schedule" in config:
-        _check_schedule(config["schedule"])
-    if "checks" in config:
-        try:
-            audit_mod.select_checks(config["checks"])
-        except ParameterError as exc:
-            _fail("checks", str(exc))
-    return config
+            path = name if exc.field is None else f"{name}.{exc.field}"
+            raise ParameterError(str(exc), field=path) from None
+    return out
 
 
-def _int_in(value, lo: int, hi: int) -> bool:
-    return type(value) is int and lo <= value <= hi
+def _validated(table, config) -> dict:
+    try:
+        return _walk(table, config)
+    except ParameterError as exc:
+        raise ParameterError(f"config field {exc.field!r}: {exc}", field=exc.field) from None
 
 
-def _check_distances(grid, total_cells: int, distances) -> None:
-    """Each distance keeps the two-ball pair apart and inside the box, by
-    the geometry `two_ball_experiment` uses."""
-    if not (isinstance(distances, list) and distances
-            and all(type(d) is int and d >= 1 for d in distances)):
-        _fail("distances_cells", f"must be a nonempty list of positive "
-                                 f"integers, got {distances!r}")
-    for d in distances:
-        try:
-            shapeopt.two_ball_offset(grid, total_cells * grid.cell_volume,
-                                     d * grid.h)
-        except ParameterError as exc:
-            _fail("distances_cells", f"{d} cells: {exc}")
+def _grid(budget):
+    """build_grid's fields and rule, and at most `budget` cells."""
+    def _built(g, top):
+        grid = build_grid(**g)
+        if grid.n_cells > budget:
+            raise ParameterError(f"{grid.n_cells} cells, over the dense-assembly "
+                                 f"budget of {budget}")
+        return grid
+    return _obj({"dim": _any, "half_width": _any, "resolution": _any}, _built)
 
 
-def _check_lieb_cells(grid, config) -> None:
-    """mask_cells_min <= mask_cells_max, both in [1, n_cells - 2], so that
-    the window of `_run_lieb` leaves a start offset to draw."""
-    hi_cells = grid.n_cells - 2
-    lo, hi = (config.get(f, _DEFAULTS[f]) for f in ("mask_cells_min", "mask_cells_max"))
-    for fld, value in (("mask_cells_min", lo), ("mask_cells_max", hi)):
-        if not _int_in(value, 1, hi_cells):
-            _fail(fld, f"must be an integer in [1, {hi_cells}], got {value!r}")
-    if lo > hi:
-        fld = "mask_cells_min" if "mask_cells_min" in config else "mask_cells_max"
-        _fail(fld, f"mask_cells_min ({lo}) exceeds mask_cells_max ({hi})")
+def _ball(spec, top):
+    grid, center = top["grid"], spec["center"]
+    if len(center) != grid.dim or max(map(abs, center)) > grid.half_width:
+        raise ParameterError(f"must be a list of {grid.dim} numbers in the box, "
+                             f"[-{grid.half_width}, {grid.half_width}]", field="center")
+    # ball_mask rejects a volume the grid cannot hold
+    return shapeopt.ball_mask(grid, center, spec["volume_cells"] * grid.cell_volume)
 
 
-def _check_schedule(schedule) -> None:
-    """Keys of AnnealingSchedule only; t0_factor finite and >= 0, decay in
-    (0, 1], so the temperature stays finite, nonnegative and nonincreasing."""
-    if not isinstance(schedule, dict):
-        _fail("schedule", "must be an object with keys t0_factor, decay")
-    unknown = set(schedule) - {"t0_factor", "decay"}
-    if unknown:
-        _fail(f"schedule.{sorted(unknown)[0]}", "unknown key; the keys are "
-                                                "t0_factor and decay")
-    if "t0_factor" in schedule:
-        t0 = schedule["t0_factor"]
-        if not (type(t0) in (int, float) and math.isfinite(t0) and t0 >= 0):
-            _fail("schedule.t0_factor", f"must be a finite number >= 0, got {t0!r}")
-    if "decay" in schedule:
-        decay = schedule["decay"]
-        if not (type(decay) in (int, float) and 0 < decay <= 1):
-            _fail("schedule.decay", f"must lie in (0, 1], got {decay!r}")
+def _indices(spec, top):
+    # the list is the whole mask, so its errors name `mask`
+    grid = top["grid"]
+    return mask_from_indices(grid, _list(_int(0, grid.n_cells - 1))(spec["indices"], top))
 
 
-def _build_mask(grid, spec) -> DomainMask:
+_MASKS = {"ball": _obj({"type": _any, "center": _list(_num(-math.inf, math.inf)),
+                        "volume_cells": _int(1)}, _ball),
+          "indices": _obj({"type": _any, "indices": _any}, _indices)}
+
+
+def _mask(spec, top):
     if spec == "full":
-        return full_mask(grid)
-    if isinstance(spec, dict) and spec.get("type") == "ball":
-        center, cells = spec.get("center"), spec.get("volume_cells")
-        if not (isinstance(center, list) and len(center) == grid.dim
-                and all(type(x) in (int, float) for x in center)):
-            _fail("mask.center", f"must be a list of {grid.dim} numbers")
-        if not _int_in(cells, 1, grid.n_cells):
-            _fail("mask.volume_cells", f"must be an integer in [1, {grid.n_cells}]")
-        return shapeopt.ball_mask(grid, center, cells * grid.cell_volume)
-    if isinstance(spec, dict) and spec.get("type") == "indices":
-        idx = spec.get("indices")
-        if not (isinstance(idx, list) and idx
-                and all(_int_in(i, 0, grid.n_cells - 1) for i in idx)):
-            _fail("mask", f"indices must be a nonempty list of integers in "
-                          f"[0, {grid.n_cells})")
-        return mask_from_indices(grid, idx)
-    _fail("mask", "must be 'full', a ball spec, or an index list")
+        return full_mask(top["grid"])
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind not in tuple(_MASKS):     # a list or object type is unhashable
+        raise ParameterError(f"must be 'full', a ball spec, or an index list, got {spec!r}")
+    return _MASKS[kind](spec, top)
+
+
+_mask.fields = {**_MASKS["ball"].fields, **_MASKS["indices"].fields}
+
+
+def _distance(d, top):
+    grid = top["grid"]
+    shapeopt.two_ball_offset(grid, top["total_volume_cells"] * grid.cell_volume,
+                             _int(1)(d, top) * grid.h)
+    return d
+
+
+def _functional(f, top):
+    spec = shapeopt.make_functional(f["name"], f["k"], f["combiner"])
+    # a k over the mask's cell count only pads +inf eigenvalues, and
+    # minimize_shape allocates that padding
+    if spec.k > top["volume_cells"]:
+        raise ParameterError(f"must be at most volume_cells ({top['volume_cells']}), "
+                             f"got {spec.k}", field="k")
+    return spec
+
+
+def _checks(names, top):
+    audit_mod.select_checks(_list(_any)(names, top))
+    return list(names)
+
+
+def _n_cells(top):
+    return top["grid"].n_cells
+
+
+_GRID, _S, _SEEDS = _grid(MAX_DENSE_CELLS), _num(0, 1), _list(_int(0))
+_DEFAULT_SEEDS = [0]
+_SCHEDULE = {"t0_factor": (_num(0, math.inf, "[)"), shapeopt.AnnealingSchedule.t0_factor),
+             "decay": (_num(0, 1, "(]"), shapeopt.AnnealingSchedule.decay)}
+
+# One table per subcommand, in validation order (see `_walk`).
+SCHEMA = {
+    "grid": {"grid": _grid(math.inf)},
+    "eig": {"grid": _GRID, "s": _S, "mask": _mask,
+            "k": _int(1, lambda top: top["mask"].n_active), "seeds": (_SEEDS, _DEFAULT_SEEDS)},
+    "torsion": {"grid": _GRID, "s": _S, "mask": _mask, "seeds": (_SEEDS, _DEFAULT_SEEDS)},
+    "two-ball": {"grid": _GRID, "s": _S, "total_volume_cells": _int(2, _n_cells),
+                 "distances_cells": _list(_distance)},
+    "minimize": {"grid": _GRID, "s": _S, "volume_cells": _int(2, _n_cells),
+                 "functional": _obj({"name": _str(), "k": _any, "combiner": _str()},
+                                    _functional),
+                 "iterations": _int(1), "seeds": _SEEDS,
+                 # the temperature stays finite, nonnegative and nonincreasing
+                 "schedule": (_obj(_SCHEDULE, lambda d, top: shapeopt.AnnealingSchedule(**d)),
+                              {})},
+    # classify takes epsilon in (0, mass_limit / 4)
+    "classify": {"generator": _str(GENERATORS), "seeds": _SEEDS,
+                 "length": (_int(cc.MIN_LENGTH), 10), "epsilon_fraction": (_num(0, 0.25), 0.2)},
+    # the window of `_run_lieb` must leave a start offset to draw
+    "lieb": {"grid": _GRID, "s": _S, "trials": _int(1), "seeds": _SEEDS,
+             "mask_cells_max": (_int(1, lambda top: _n_cells(top) - 2), 16),
+             "mask_cells_min": (_int(1, lambda top: top["mask_cells_max"]), 4)},
+    "audit": {"grid": (_GRID, {"dim": 1, "half_width": 4.0, "resolution": 64}),
+              "s": (_S, 0.5), "seeds": (_SEEDS, _DEFAULT_SEEDS),
+              "checks": (_checks, audit_mod.check_names())},
+}
+
+
+def validate_config(kind: str, config) -> dict:
+    """A new dict of the config's fields by SCHEMA[kind], defaults filled in
+    and `grid`, `mask`, `functional` and `schedule` built; a rejected field is
+    a ParameterError whose `field` is its dotted path."""
+    if not isinstance(config, dict):
+        raise ParameterError("config must be a JSON object")
+    return _validated(SCHEMA[kind], config)
 
 
 # --- subcommand runners --------------------------------------------------------
 
 def _run_grid(config, out, seeds):
-    grid = build_grid(**config["grid"])
+    grid = config["grid"]
     write_json(out / "grid.json", grid_to_json(grid))
     rows = [(i,) + tuple(c) for i, c in enumerate(grid.cell_centers)]
     header = ["cell_index"] + [f"x{a}" for a in range(grid.dim)]
@@ -232,9 +247,7 @@ def _run_grid(config, out, seeds):
 
 
 def _run_eig(config, out, seeds):
-    grid = build_grid(**config["grid"])
-    base = assemble_stiffness(grid, config["s"])
-    mask = _build_mask(grid, config["mask"])
+    base, mask = assemble_stiffness(config["grid"], config["s"]), config["mask"]
     spec = eigenpairs(restrict(base, mask), config["k"])
     write_json(out / "spectrum.json", {
         "eigenvalues": spec.eigenvalues, "residuals": spec.residuals,
@@ -249,9 +262,7 @@ def _run_eig(config, out, seeds):
 
 
 def _run_torsion(config, out, seeds):
-    grid = build_grid(**config["grid"])
-    base = assemble_stiffness(grid, config["s"])
-    mask = _build_mask(grid, config["mask"])
+    base, mask = assemble_stiffness(config["grid"], config["s"]), config["mask"]
     tor = solve_torsion(restrict(base, mask))
     write_json(out / "torsion.json", {"residual": tor.residual,
                                       "mask": mask_to_json(mask)})
@@ -261,27 +272,23 @@ def _run_torsion(config, out, seeds):
 
 
 def _run_two_ball(config, out, seeds):
-    grid = build_grid(**config["grid"])
-    h = grid.h
+    grid = config["grid"]
     rows = shapeopt.two_ball_experiment(
         grid, config["s"], config["total_volume_cells"] * grid.cell_volume,
-        [d * h for d in config["distances_cells"]])
+        [d * grid.h for d in config["distances_cells"]])
     header = ["d", "lambda1_union", "lambda2_union", "lambda1_half_ball", "gap"]
     write_csv(out / "table.csv", header, [[r[k] for k in header] for r in rows])
     return [out / "table.csv"]
 
 
 def _run_minimize(config, out, seeds):
-    grid = build_grid(**config["grid"])
+    grid = config["grid"]
     base = assemble_stiffness(grid, config["s"])
-    f = config["functional"]
-    spec = shapeopt.make_functional(f["name"], f["k"], f["combiner"])
-    sched = shapeopt.AnnealingSchedule(**config.get("schedule", {}))
     files = []
     for seed in seeds:
         traj = shapeopt.minimize_shape(
-            spec, base, config["volume_cells"] * grid.cell_volume,
-            config["iterations"], seed, sched)
+            config["functional"], base, config["volume_cells"] * grid.cell_volume,
+            config["iterations"], seed, config["schedule"])
         lines = [json.dumps({"value": v, "cells": mask_to_json(m)["cells"]},
                             sort_keys=True)
                  for m, v in zip(traj.masks, traj.values)]
@@ -290,41 +297,31 @@ def _run_minimize(config, out, seeds):
         files.append(path)
         report = shapeopt.detect_dichotomy(traj, base)
         write_json(out / f"summary_seed{seed}.json", {
-            "final_value": traj.values[-1],
-            "final_mask": mask_to_json(traj.masks[-1]),
-            "verdict": report.verdict,
-            "separations": report.separations,
-            "component_volumes": report.component_volumes,
-        })
+            "final_value": traj.values[-1], "final_mask": mask_to_json(traj.masks[-1]),
+            "verdict": report.verdict, "separations": report.separations,
+            "component_volumes": report.component_volumes})
         files.append(out / f"summary_seed{seed}.json")
     return files
 
 
 def _run_classify(config, out, seeds):
     gen = GENERATORS[config["generator"]]
-    length = config.get("length", _DEFAULTS["length"])
-    frac = config.get("epsilon_fraction", _DEFAULTS["epsilon_fraction"])
     files = []
     for seed in seeds:
-        seq = gen(seed, length)
-        rep = cc.classify(seq, frac * seq.mass_limit)
+        seq = gen(seed, config["length"])
+        rep = cc.classify(seq, config["epsilon_fraction"] * seq.mass_limit)
         write_json(out / f"report_seed{seed}.json", {
-            "verdict": rep.verdict,
-            "alpha": rep.alpha,
-            "centers": rep.centers,
-            "mass_limit": seq.mass_limit,
-            "evidence": rep.evidence,
-            "thresholds": rep.thresholds,
-        })
+            "verdict": rep.verdict, "alpha": rep.alpha, "centers": rep.centers,
+            "mass_limit": seq.mass_limit, "evidence": rep.evidence,
+            "thresholds": rep.thresholds})
         files.append(out / f"report_seed{seed}.json")
     return files
 
 
 def _run_lieb(config, out, seeds):
-    grid = build_grid(**config["grid"])
+    grid = config["grid"]
     base = assemble_stiffness(grid, config["s"])
-    lo = config.get("mask_cells_min", _DEFAULTS["mask_cells_min"])
-    hi = config.get("mask_cells_max", _DEFAULTS["mask_cells_max"])
+    lo, hi = config["mask_cells_min"], config["mask_cells_max"]
     window = max(hi + 1, grid.n_cells // 3)
     rows = []
     for seed in seeds:
@@ -341,19 +338,16 @@ def _run_lieb(config, out, seeds):
     write_csv(out / "results.csv",
               ["seed", "trial", "z0", "lambda1_intersection", "bound", "satisfied"],
               rows)
-    write_json(out / "summary.json", {
-        "trials": len(rows),
-        "satisfied": int(sum(r[5] for r in rows)),
-    })
+    write_json(out / "summary.json", {"trials": len(rows),
+                                      "satisfied": int(sum(r[5] for r in rows))})
     return [out / "results.csv", out / "summary.json"]
 
 
 def _run_audit(config, out, seeds):
-    g = config.get("grid", {"dim": 1, "half_width": 4.0, "resolution": 64})
-    base = assemble_stiffness(build_grid(**g), config.get("s", 0.5))
+    base = assemble_stiffness(config["grid"], config["s"])
     results = []
     for seed in seeds:
-        for r in audit_mod.bounds_audit(base, seed, config.get("checks")):
+        for r in audit_mod.bounds_audit(base, seed, config["checks"]):
             results.append([seed, r.name, int(r.passed), r.worst_slack])
     write_csv(out / "audit.csv", ["seed", "check", "passed", "worst_slack"],
               results)
@@ -366,27 +360,23 @@ def _run_audit(config, out, seeds):
     return [out / "audit.csv", out / "summary.json"]
 
 
-_RUNNERS = {
-    "grid": _run_grid,
-    "eig": _run_eig,
-    "torsion": _run_torsion,
-    "two-ball": _run_two_ball,
-    "minimize": _run_minimize,
-    "classify": _run_classify,
-    "lieb": _run_lieb,
-    "audit": _run_audit,
-}
+_RUNNERS = {"grid": _run_grid, "eig": _run_eig, "torsion": _run_torsion,
+            "two-ball": _run_two_ball, "minimize": _run_minimize,
+            "classify": _run_classify, "lieb": _run_lieb, "audit": _run_audit}
 
 
 def run_experiment(kind: str, config: dict, out_dir, seed_override=None) -> dict:
-    """Validate, dispatch, and write artifacts plus the manifest."""
-    config = validate_config(kind, config)
+    """Validate, dispatch, and write artifacts plus the manifest, which
+    echoes `config` as given.  A seed override replaces the seed list and
+    passes the same rule."""
+    checked = validate_config(kind, config)
+    if seed_override is not None:
+        checked.update(_validated({"seeds": _SEEDS}, {"seeds": [seed_override]}))
+    seeds = checked.get("seeds", _DEFAULT_SEEDS)   # grid and two-ball draw none
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [seed_override] if seed_override is not None else \
-        config.get("seeds", [0])
     start = time.perf_counter()
-    files = _RUNNERS[kind](config, out, seeds)
+    files = _RUNNERS[kind](checked, out, seeds)
     wall = time.perf_counter() - start
     manifest = write_manifest(out, config, seeds, wall, files)
     return {"manifest": manifest, "files": files}
@@ -394,12 +384,10 @@ def run_experiment(kind: str, config: dict, out_dir, seed_override=None) -> dict
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="fracshape",
-        description="spectral shape optimization lab for the fractional "
-                    "Dirichlet Laplacian",
-    )
+        prog="fracshape", description="spectral shape optimization lab for the "
+                                      "fractional Dirichlet Laplacian")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in _SCHEMAS:
+    for kind in SCHEMA:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=(kind != "audit"))
         p.add_argument("--out", required=False, default=None)
@@ -412,16 +400,16 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        config = json.loads(Path(args.config).read_text()) if args.config else {}
+        try:
+            config = json.loads(Path(args.config).read_text()) if args.config else {}
+        except (OSError, ValueError) as exc:   # a JSONDecodeError is a ValueError
+            raise ParameterError(f"config {args.config}: {exc}") from None
         if args.out is None:
             raise ParameterError("config field 'out': --out directory required")
         bundle = run_experiment(args.kind, config, args.out, args.seed)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FracshapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParameterError) else 3
     for f in bundle["files"]:
         print(f)
     print(bundle["manifest"])

@@ -7,7 +7,6 @@ box (homogeneous Dirichlet exterior condition).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,11 @@ from .errors import ParameterError, StructuralError
 # Grid construction budget.  Grids that are only sampled (`classify` builds
 # up to 7,616 cells) may exceed forms.MAX_DENSE_CELLS, the assembly budget.
 MAX_CELLS = 16384
+# Box half widths whose assembly, torsion and lambda_1 stay finite with room
+# to spare: they are finite on [1e-150, 1e70] in 1D and 2D for s in
+# {0.1, 0.5, 0.9}; 2D overflows at 1e80, and at 1e-200 a solve fails or
+# divides by zero.
+MIN_HALF_WIDTH, MAX_HALF_WIDTH = 1e-6, 1e6
 # point pairs per block of `min_pair_distance`
 _PAIR_CHUNK = 1 << 16
 
@@ -117,9 +121,10 @@ def build_grid(dim: int, half_width: float, resolution: int) -> Grid:
     if not (_is_int(dim) and dim in (1, 2)):
         raise ParameterError(f"dim must be 1 or 2, got {dim!r}", field="dim")
     if not ((_is_int(half_width) or isinstance(half_width, (float, np.floating)))
-            and math.isfinite(half_width) and half_width > 0):
-        raise ParameterError(f"half_width must be a finite number > 0, got "
-                             f"{half_width!r}", field="half_width")
+            and MIN_HALF_WIDTH <= half_width <= MAX_HALF_WIDTH):
+        raise ParameterError(f"half_width must be a number in [{MIN_HALF_WIDTH:g}, "
+                             f"{MAX_HALF_WIDTH:g}], got {half_width!r}",
+                             field="half_width")
     if not (_is_int(resolution) and resolution >= 2):
         raise ParameterError(f"resolution must be an integer >= 2, got "
                              f"{resolution!r}", field="resolution")

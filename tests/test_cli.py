@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fracshape import audit as audit_mod
+from fracshape import cli as cli_mod
 from fracshape.audit import _Solved, bounds_audit, check_stiffness_symmetry
 from fracshape.cli import main, run_experiment, validate_config
 from fracshape.errors import ParameterError
@@ -281,8 +282,6 @@ def test_audit_cli_exit_3_on_failure(tmp_path, monkeypatch):
     a[3, 9] *= 2.0
     broken = StiffnessOperator(base.grid, base.params, a, base.tail)
 
-    import fracshape.cli as cli_mod
-
     def fake_assemble(grid, s, **kw):
         return broken
 
@@ -446,6 +445,43 @@ CLASSIFY = {"generator": "translating-bump", "seeds": [0]}
                                   functional={"name": "big", "k": 1000000000,
                                               "combiner": "l1"}),
                  "functional.k", id="functional-k-over-volume"),
+    # at the parent a negative seed raised ValueError from default_rng (exit 1)
+    # after --out existed
+    pytest.param("classify", dict(CLASSIFY, seeds=[-1]), "seeds", id="classify-seed-negative"),
+    pytest.param("lieb", dict(LIEB, seeds=[-1]), "seeds", id="lieb-seed-negative"),
+    pytest.param("audit", {"seeds": [-1]}, "seeds", id="audit-seed-negative"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, seeds=[-1]), "seeds",
+                 id="minimize-seed-negative"),
+    # at the parent a TypeError traceback (exit 1)
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8, functional=5), "functional",
+                 id="functional-not-object"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  functional={"name": "l1", "k": 1, "combiner": 5}),
+                 "functional.combiner", id="functional-combiner-number"),
+    pytest.param("classify", dict(CLASSIFY, generator=["translating-bump"]), "generator",
+                 id="classify-generator-list"),
+    # at the parent accepted: an extra key ignored, any JSON value as a name,
+    # null read as every check
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  functional={"name": "l1", "k": 1, "combiner": "l1",
+                                              "extra": 1}),
+                 "functional.extra", id="functional-unknown-key"),
+    pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                  functional={"name": 5, "k": 1, "combiner": "l1"}),
+                 "functional.name", id="functional-name-number"),
+    pytest.param("eig", {"mask": {"type": "ball", "center": [0.0], "volume_cells": 8,
+                                  "radius": 1.0}, "k": 1},
+                 "mask.radius", id="ball-unknown-key"),
+    pytest.param("torsion", {"mask": dict(THREE_CELLS, center=[0.0])}, "mask.center",
+                 id="indices-unknown-key"),
+    pytest.param("audit", {"checks": None}, "checks", id="audit-checks-null"),
+    # at the parent a NaN residual (exit 3) after --out existed, and an
+    # arbitrary 8-cell "ball" with an overflow warning
+    pytest.param("torsion", {"grid": dict(GRID, half_width=1e300), "mask": "full"},
+                 "grid.half_width", id="grid-half-width-huge"),
+    pytest.param("eig", {"mask": {"type": "ball", "center": [1e300], "volume_cells": 8},
+                         "k": 1},
+                 "mask.center", id="ball-center-outside-box"),
 ])
 def test_main_rejects_field_before_any_output(tmp_path, capsys, kind, config, field):
     if kind != "classify":
@@ -473,6 +509,143 @@ def test_validate_accepts_field_bounds():
         validate_config("lieb", dict(LIEB, grid=GRID, s=0.5, **cells))
     validate_config("classify", dict(CLASSIFY, length=8, epsilon_fraction=0.2499))
     validate_config("audit", {"checks": ["dunford", "duality"]})
+
+
+def test_main_rejects_negative_seed_override(tmp_path, capsys):
+    # at the parent --seed skipped validation and -3 raised from default_rng
+    cfg = _write_config(tmp_path, CLASSIFY)
+    rc = main(["classify", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-3"])
+    assert rc == 2
+    assert "config field 'seeds'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name"),
+    (None, "No such file"),
+    ("[1]", "config must be a JSON object"),
+    ('"eig"', "config must be a JSON object"),
+])
+def test_main_rejects_unreadable_config(tmp_path, capsys, text, message):
+    # at the parent a traceback (exit 1), or a message naming a field of a
+    # config that is no object
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["audit", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if message != "config must be a JSON object":
+        assert str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_fills_defaults_without_changing_the_config():
+    config = dict(CLASSIFY)
+    checked = validate_config("classify", config)
+    assert config == CLASSIFY
+    assert (checked["length"], checked["epsilon_fraction"]) == (10, 0.2)
+    lieb = validate_config("lieb", dict(LIEB, grid=GRID, s=0.5))
+    assert (lieb["mask_cells_min"], lieb["mask_cells_max"]) == (4, 16)
+    audit = validate_config("audit", {})
+    assert audit["grid"] == build_grid(1, 4.0, 64) and audit["s"] == 0.5
+    assert audit["checks"] == audit_mod.check_names() and audit["seeds"] == [0]
+
+
+# --- schema fuzz -------------------------------------------------------------------
+
+FUZZ_VALUES = [True, None, "5", -1, 0, 1e300, float("nan"), [], {}, [True], 2.5, [1e300]]
+# a valid config per subcommand with every field given, on the 64-cell grid;
+# eig takes a ball and torsion an index list, so each mask spec is fuzzed
+FUZZ_BASE = {
+    "grid": {"grid": GRID},
+    "eig": {"grid": GRID, "s": 0.5, "k": 2, "seeds": [0],
+            "mask": {"type": "ball", "center": [0.0], "volume_cells": 8}},
+    "torsion": {"grid": GRID, "s": 0.5, "mask": THREE_CELLS, "seeds": [0]},
+    "two-ball": dict(TWO_BALL, grid=GRID, s=0.5),
+    "minimize": dict(MINIMIZE, volume_cells=8, schedule={"t0_factor": 0.1, "decay": 0.995}),
+    "classify": dict(CLASSIFY, length=8, epsilon_fraction=0.2),
+    "lieb": dict(LIEB, grid=GRID, s=0.5, mask_cells_min=4, mask_cells_max=16),
+    "audit": {"grid": GRID, "s": 0.5, "seeds": [0], "checks": ["stiffness_symmetry"]},
+}
+
+
+def _schema_paths(table, prefix=""):
+    for name, entry in table.items():
+        rule = entry[0] if isinstance(entry, tuple) else entry
+        yield prefix + name
+        yield from _schema_paths(getattr(rule, "fields", {}), f"{prefix}{name}.")
+
+
+def _mutated(config, path, value):
+    config = json.loads(json.dumps(config))
+    *parents, name = path.split(".")
+    inner = config
+    for key in parents:
+        inner = inner[key]
+    inner[name] = value
+    return config
+
+
+def _fuzz(kind):
+    """Each schema field of the base config set to each fuzz value; returns
+    the configs that validate.  A rejection names the field, one that encloses
+    it, or a key missing inside it."""
+    accepted = []
+    for path in _schema_paths(cli_mod.SCHEMA[kind]):
+        for value in FUZZ_VALUES:
+            config = _mutated(FUZZ_BASE[kind], path, value)
+            try:
+                validate_config(kind, config)
+            except ParameterError as exc:
+                named = exc.field
+                assert (named == path or path.startswith(named + ".")
+                        or named.startswith(path + ".")), (path, value, str(exc))
+                assert str(exc).startswith(f"config field {named!r}: ")
+                continue
+            accepted.append(config)
+    return accepted
+
+
+@pytest.mark.parametrize("kind", list(cli_mod.SCHEMA))
+def test_fuzzed_field_is_named_or_runs(tmp_path, kind):
+    for i, config in enumerate(_fuzz(kind)):
+        cfg = _write_config(tmp_path, config, name=f"config{i}.json")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / f"out{i}")]) == 0, config
+
+
+def test_fuzz_negative_control(monkeypatch):
+    # without its string rule, a combiner that is no string reaches compile()
+    functional = cli_mod.SCHEMA["minimize"]["functional"]
+    monkeypatch.setitem(functional.fields, "combiner", lambda value, top: value)
+    with pytest.raises(TypeError):
+        _fuzz("minimize")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_tables():
+    """{subcommand: field paths} from the README's per-subcommand tables."""
+    tables, kind = {}, None
+    for line in README.read_text().splitlines():
+        if line.startswith("#### `fracshape "):
+            kind = line.split()[2].strip("`")
+            tables[kind] = set()
+        elif kind and line.startswith("| `"):
+            tables[kind].add(line.split("`")[1])
+        elif kind and not line.startswith("|") and tables[kind]:
+            kind = None
+    return tables
+
+
+def test_readme_tables_list_the_schema():
+    assert _readme_tables() == {kind: set(_schema_paths(table))
+                                for kind, table in cli_mod.SCHEMA.items()}
+    text = README.read_text()
+    example = text.split("Example config for `minimize`:")[1].split("```json")[1]
+    validate_config("minimize", json.loads(example.split("```")[0]))
 
 
 def test_validate_bounds_functional_k_by_volume():

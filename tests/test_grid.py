@@ -6,8 +6,8 @@ from scipy.spatial.distance import cdist
 
 from fracshape import grid as grid_mod
 from fracshape.errors import ParameterError, StructuralError
-from fracshape.grid import (DomainMask, GridFunction, build_grid, empty_mask,
-                            full_mask, grid_from_json, grid_to_json, l2_inner,
+from fracshape.grid import (MAX_HALF_WIDTH, MIN_HALF_WIDTH, DomainMask, GridFunction,
+                            build_grid, empty_mask, full_mask, grid_from_json, grid_to_json, l2_inner,
                             mask_from_indices, mask_from_json, mask_to_json,
                             min_pair_distance, translate_mask)
 
@@ -49,7 +49,8 @@ def test_build_grid_rejects(kwargs):
     ("dim", True), ("dim", 1.0), ("dim", None), ("dim", "1"),
     ("half_width", True), ("half_width", None), ("half_width", "4"),
     ("half_width", [4.0]), ("half_width", float("nan")),
-    ("half_width", float("inf")), ("resolution", True), ("resolution", 8.0),
+    ("half_width", float("inf")), ("half_width", 1e300), ("half_width", 1e-200),
+    ("resolution", True), ("resolution", 8.0),
     ("resolution", None),
 ])
 def test_build_grid_rejects_non_numbers_naming_the_field(field, value):
@@ -65,6 +66,15 @@ def test_build_grid_accepts_numpy_scalars():
     g = build_grid(np.int64(2), np.float64(1.5), np.int32(4))
     assert (g.dim, g.half_width, g.resolution) == (2, 1.5, 4)
     assert build_grid(1, 4, 8).half_width == 4.0
+
+
+def test_build_grid_half_width_range_ends():
+    # at the parent 1e300 passed, and a 2D torsion solve returned NaN
+    for half_width in (MIN_HALF_WIDTH, MAX_HALF_WIDTH):
+        assert build_grid(2, half_width, 8).half_width == half_width
+    for half_width in (MIN_HALF_WIDTH * 0.999, MAX_HALF_WIDTH * 1.001):
+        with pytest.raises(ParameterError, match="half_width"):
+            build_grid(1, half_width, 8)
 
 
 def test_min_pair_distance_is_cdist_min_to_the_bit():
