@@ -26,7 +26,8 @@ from . import concentration as cc
 from . import shapeopt
 from .errors import FracshapeError, ParameterError
 from .forms import MAX_DENSE_CELLS, assemble_stiffness
-from .grid import build_grid, full_mask, grid_to_json, mask_from_indices, mask_to_json
+from .grid import (_is_int, build_grid, full_mask, grid_to_json, mask_from_indices,
+                   mask_to_json)
 from .serialize import write_csv, write_json, write_manifest
 from .solvers import eigenpairs, restrict, solve_torsion
 
@@ -50,7 +51,7 @@ def _int(lo, hi=math.inf):
     JSON true or false is no integer."""
     def _rule(value, top):
         lo_, hi_ = (b(top) if callable(b) else b for b in (lo, hi))
-        if type(value) is int and lo_ <= value <= hi_:
+        if _is_int(value) and lo_ <= value <= hi_:
             return value
         raise ParameterError(f"must be an integer in [{lo_}, {hi_}], got {value!r}")
     return _rule
@@ -213,9 +214,10 @@ SCHEMA = {
                  # the temperature stays finite, nonnegative and nonincreasing
                  "schedule": (_obj(_SCHEDULE, lambda d, top: shapeopt.AnnealingSchedule(**d)),
                               {})},
-    # classify takes epsilon in (0, mass_limit / 4)
+    # classify takes epsilon in (0, mass_limit / 4) and a length its grids fit
     "classify": {"generator": _str(GENERATORS), "seeds": _SEEDS,
-                 "length": (_int(cc.MIN_LENGTH), 10), "epsilon_fraction": (_num(0, 0.25), 0.2)},
+                 "length": (_int(cc.MIN_LENGTH, lambda top: cc.max_length(top["generator"])), 10),
+                 "epsilon_fraction": (_num(0, 0.25), 0.2)},
     # the window of `_run_lieb` must leave a start offset to draw
     "lieb": {"grid": _GRID, "s": _S, "trials": _int(1), "seeds": _SEEDS,
              "mask_cells_max": (_int(1, lambda top: _n_cells(top) - 2), 16),

@@ -1,22 +1,23 @@
 """Discrete concentration-compactness toolkit.
 
-Concentration profiles (the Levy concentration function on the grid),
-a trichotomy classifier for mass-normalized function sequences, smooth
-radial cut-offs with certified localization defects, dichotomy splitting,
-and an exhaustive translation search for the intersection eigenvalue bound.
+A trichotomy classifier for mass-normalized function sequences, read off
+their concentration profiles (the Levy concentration function on the grid),
+smooth radial cut-offs with certified localization defects, dichotomy
+splitting, an exhaustive translation search for the intersection eigenvalue
+bound, and synthetic sequence generators.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator, gagliardo_sq, weighted_gagliardo_sq
-from .grid import (DomainMask, Grid, GridFunction, build_grid, distances_from,
-                   mask_from_indices, min_pair_distance)
+from .grid import (MAX_CELLS, DomainMask, Grid, GridFunction, build_grid,
+                   distances_from, mask_from_indices, min_pair_distance)
 from .solvers import eigenpairs, restrict
 
 PLATEAU_SLOPE = 0.02    # relative slope threshold for plateau rungs
@@ -87,19 +88,6 @@ def _ball_masses(grid: Grid, u: GridFunction, radii) -> np.ndarray:
         for j, r in enumerate(radii):
             out[j, start:start + 512] = (d2 <= r * r) @ density
     return out
-
-
-def concentration_profile(grid: Grid, u: GridFunction, radii) -> list:
-    """sup over cell centers y of the L2 mass inside the ball of radius R at y.
-
-    Returned list is nondecreasing in R and bounded by the total mass.
-    """
-    if u.grid != grid:
-        raise StructuralError("function and grid disagree")
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("radii must be positive and ascending")
-    return _ball_masses(grid, u, radii).max(axis=1).tolist()
 
 
 def _radius_ladder(seq: FunctionSequence) -> list:
@@ -316,9 +304,13 @@ def lieb_translation_search(base: StiffnessOperator, mask_a: DomainMask,
 
 
 # --- synthetic sequence generators --------------------------------------------
+# Entry n lives on the 1D box of half width BASE_HALF_WIDTH * factor(n).
 
 BASE_HALF_WIDTH = 4.0
 BASE_RESOLUTION = 64
+# uniform ranges of the translating bump's width and step
+TRANSLATING_WIDTH = (0.4, 0.8)
+TRANSLATING_STEP = (1.0, 2.0)
 
 
 def _bump_values(x: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -330,15 +322,31 @@ def _normalized(grid: Grid, values: np.ndarray, mass: float) -> GridFunction:
     return GridFunction(grid, values * np.sqrt(mass / raw))
 
 
+def _translating_factor(n: int, step: float = TRANSLATING_STEP[1],
+                        width: float = TRANSLATING_WIDTH[1]) -> int:
+    """Smallest factor whose box holds the bump at n * step."""
+    return int(np.ceil((n * step + 3 * width + BASE_HALF_WIDTH) / BASE_HALF_WIDTH))
+
+
+def _flattening_factor(n: int) -> int:
+    # spread factor grows geometrically so the tail truly escapes every
+    # rung of the first box's radius ladder
+    return int(np.ceil(1.7 ** n))
+
+
+def _separating_factor(n: int) -> int:
+    return 2 * (n + 1)
+
+
 def translating_bump_sequence(seed: int, length: int = 10) -> FunctionSequence:
     """Fixed bump translated further each step; grids grow to contain it."""
     rng = np.random.default_rng(seed)
-    width = rng.uniform(0.4, 0.8)
+    width = rng.uniform(*TRANSLATING_WIDTH)
     mass = rng.uniform(0.5, 2.0)
-    step = rng.uniform(1.0, 2.0)
+    step = rng.uniform(*TRANSLATING_STEP)
     entries = []
     for n in range(length):
-        factor = max(1, int(np.ceil((n * step + 3 * width + BASE_HALF_WIDTH) / BASE_HALF_WIDTH)))
+        factor = _translating_factor(n, step, width)
         g = build_grid(1, BASE_HALF_WIDTH * factor, BASE_RESOLUTION * factor)
         x = g.cell_centers[:, 0]
         entries.append(_normalized(g, _bump_values(x, n * step, width), mass))
@@ -352,9 +360,7 @@ def flattening_bump_sequence(seed: int, length: int = 10) -> FunctionSequence:
     mass = rng.uniform(0.5, 2.0)
     entries = []
     for n in range(length):
-        # spread factor grows geometrically so the tail truly escapes
-        # every rung of the first box's radius ladder
-        factor = int(np.ceil(1.7 ** n))
+        factor = _flattening_factor(n)
         g = build_grid(1, BASE_HALF_WIDTH * factor, BASE_RESOLUTION * factor)
         x = g.cell_centers[:, 0]
         entries.append(_normalized(g, _bump_values(x / factor, 0.0, width), mass))
@@ -368,10 +374,26 @@ def separating_pair_sequence(seed: int, length: int = 10) -> FunctionSequence:
     bump_mass = rng.uniform(0.3, 0.5)
     entries = []
     for n in range(length):
-        factor = 2 * (n + 1)
+        factor = _separating_factor(n)
         g = build_grid(1, BASE_HALF_WIDTH * factor, BASE_RESOLUTION * factor)
         x = g.cell_centers[:, 0]
         d = BASE_HALF_WIDTH * (factor - 1)
         vals = _bump_values(x, 0.0, width) + _bump_values(x, d, width)
         entries.append(_normalized(g, vals, 2.0 * bump_mass))
     return make_sequence(entries)
+
+
+# per `fracshape classify` generator name, the largest factor of entry n over
+# all seeds (the translating bump's at its defaults, the upper ends of the draws)
+_WORST_FACTOR = {"translating-bump": _translating_factor,
+                 "flattening-bump": _flattening_factor,
+                 "separating-pair": _separating_factor}
+
+
+def max_length(generator: str) -> int:
+    """Longest sequence the named generator builds for every seed within
+    grid.MAX_CELLS: the first entry whose BASE_RESOLUTION * factor cells
+    would exceed it."""
+    factor = _WORST_FACTOR[generator]
+    return next(n for n in itertools.count()
+                if BASE_RESOLUTION * factor(n) > MAX_CELLS)

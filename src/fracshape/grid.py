@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 
-# Grid construction budget.  Grids that are only sampled (`classify` builds
-# up to 7,616 cells) may exceed forms.MAX_DENSE_CELLS, the assembly budget.
+# Grid construction budget.  Grids that are only sampled (`classify`, up to
+# concentration.max_length) may exceed forms.MAX_DENSE_CELLS, the assembly budget.
 MAX_CELLS = 16384
 # Box half widths whose assembly, torsion and lambda_1 stay finite with room
 # to spare: they are finite on [1e-150, 1e70] in 1D and 2D for s in
@@ -65,9 +65,6 @@ class Grid:
     def multi_index(self, flat: np.ndarray) -> np.ndarray:
         """(k, dim) integer lattice coordinates of flat cell indices."""
         return np.column_stack(np.unravel_index(np.asarray(flat), self.shape))
-
-    def flat_index(self, multi: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index(tuple(np.asarray(multi).T), self.shape)
 
 
 def lattice_points(axis: np.ndarray, dim: int) -> np.ndarray:
@@ -157,10 +154,6 @@ class DomainMask:
         return int(np.count_nonzero(self.cells))
 
     @property
-    def volume(self) -> float:
-        return self.grid.cell_volume * self.n_active
-
-    @property
     def is_empty(self) -> bool:
         return self.n_active == 0
 
@@ -188,21 +181,6 @@ def mask_from_indices(grid: Grid, indices) -> DomainMask:
     return DomainMask(grid, cells)
 
 
-def translate_mask(mask: DomainMask, shift) -> DomainMask:
-    """Translate a mask by a whole number of cells along each axis.
-
-    Raises ParameterError if any cell would leave the box.
-    """
-    grid = mask.grid
-    shift = np.atleast_1d(np.asarray(shift, dtype=int))
-    if shift.shape != (grid.dim,):
-        raise ParameterError(f"shift must have {grid.dim} components")
-    multi = grid.multi_index(mask.active_indices) + shift
-    if multi.size and (multi.min() < 0 or multi.max() >= grid.resolution):
-        raise ParameterError("shift moves mask cells outside the box")
-    return mask_from_indices(grid, grid.flat_index(multi))
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Real-valued function on grid cells, zero outside the box."""
@@ -224,12 +202,6 @@ class GridFunction:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.l2_norm_sq()))
-
-
-def l2_inner(u: GridFunction, v: GridFunction) -> float:
-    if u.grid != v.grid:
-        raise StructuralError("functions live on different grids")
-    return float(u.grid.cell_volume * np.dot(u.values, v.values))
 
 
 def l2_distance(u: GridFunction, v: GridFunction) -> float:

@@ -2,8 +2,8 @@
 
 Functionals are monotone expressions over the first k Dirichlet eigenvalues.
 The minimizer is a simulated-annealing exchange walk over equal-volume cell
-masks; detectors classify the resulting trajectories as compactness-like or
-dichotomy-like and audit volume semicontinuity of the torsion limit.
+masks; a detector classifies the resulting trajectories as compactness-like
+or dichotomy-like.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainEmptyError, ParameterError, StructuralError
+from .errors import ParameterError
 from .forms import StiffnessOperator, assemble_stiffness
-from .grid import (DomainMask, Grid, GridFunction, distances_from, l2_distance,
-                   mask_from_indices, min_pair_distance)
-from .solvers import (DirichletOperator, TorsionFunction, _lowest_eigh,
-                      eigenpairs, eigenvalues_or_inf, resolvent_norm_diff,
-                      restrict, solve_torsion)
+from .grid import (DomainMask, Grid, GridFunction, _is_int, distances_from,
+                   l2_distance, mask_from_indices, min_pair_distance)
+from .solvers import (TorsionFunction, _lowest_eigh, eigenpairs, eigenvalues_or_inf,
+                      resolvent_norm_diff, restrict, solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
@@ -75,8 +74,7 @@ def _validate_node(node, k: int) -> None:
 
 
 def make_functional(name: str, k: int, combiner: str) -> FunctionalSpec:
-    # type(k) is int, not isinstance: a JSON true must not pass as 1
-    if not ((type(k) is int or isinstance(k, np.integer)) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ParameterError(f"k must be an integer >= 1, got {k}")
     try:
         tree = ast.parse(combiner, mode="eval")
@@ -106,21 +104,6 @@ def eval_functional(spec: FunctionalSpec, base: StiffnessOperator,
 
 
 # --- geometry helpers ---------------------------------------------------------
-
-def gamma_distance(op_a: DirichletOperator | None,
-                   op_b: DirichletOperator | None) -> float:
-    """L2 distance of the torsion functions (empty domains use w = 0)."""
-    ops = [op for op in (op_a, op_b) if op is not None]
-    if not ops:
-        return 0.0
-    grid = ops[0].grid
-    if any(op.grid != grid for op in ops):
-        raise StructuralError("operators live on different grids")
-    zero = GridFunction(grid, np.zeros(grid.n_cells))
-    w_a = solve_torsion(op_a).values if op_a is not None else zero
-    w_b = solve_torsion(op_b).values if op_b is not None else zero
-    return l2_distance(w_a, w_b)
-
 
 def ball_mask(grid: Grid, center, volume: float) -> DomainMask:
     """Mask of the round(volume / h^dim) cells nearest to center.
@@ -481,11 +464,6 @@ def _tail_indices(traj: ShapeTrajectory) -> list:
     return list(range(max(0, n - max(2, n // 3)), n))
 
 
-def _pairwise_within(functions: list, tol: float) -> bool:
-    """True when every pair of the functions is closer than tol in L2."""
-    return all(l2_distance(a, b) < tol for a, b in itertools.combinations(functions, 2))
-
-
 def detect_dichotomy(traj: ShapeTrajectory, base: StiffnessOperator) -> DichotomyReport:
     """Classify a trajectory tail as dichotomy-like or compactness-like.
 
@@ -516,39 +494,8 @@ def detect_dichotomy(traj: ShapeTrajectory, base: StiffnessOperator) -> Dichotom
                                    volumes, gaps)
     recentered = [_recentered_torsion(traj.torsions[i]) for i in tail_idx]
     scale = np.mean([w.l2_norm() for w in recentered])
-    if scale > 0 and _pairwise_within(recentered, CAUCHY_FRACTION * scale):
+    if scale > 0 and all(l2_distance(a, b) < CAUCHY_FRACTION * scale
+                         for a, b in itertools.combinations(recentered, 2)):
         return DichotomyReport("compactness", None, separations, volumes, gaps)
     return DichotomyReport("inconclusive", components or None, separations,
                            volumes, gaps)
-
-
-@dataclass(frozen=True)
-class VolumeSemicontinuityReport:
-    limit_volume: float
-    min_tail_volume: float
-    passed: bool
-
-
-def volume_semicontinuity_check(traj: ShapeTrajectory) -> VolumeSemicontinuityReport:
-    """Volume of the torsion-limit support against the tail volumes.
-
-    The limit set is the positivity set {w > 1e-8 max w} of the last
-    torsion; its volume must not exceed the smallest tail volume (up to one
-    cell).  Requires a gamma-convergent tail: pairwise torsion distances
-    below CAUCHY_FRACTION of the mean torsion norm.
-    """
-    tail_idx = _tail_indices(traj)
-    tails = [traj.torsions[i].values for i in tail_idx]
-    scale = np.mean([w.l2_norm() for w in tails])
-    if not _pairwise_within(tails, CAUCHY_FRACTION * scale):
-        raise ParameterError("trajectory tail is not gamma-convergent within tolerance")
-    w = tails[-1]
-    grid = w.grid
-    threshold = 1e-8 * w.values.max()
-    limit_volume = grid.cell_volume * int(np.count_nonzero(w.values > threshold))
-    min_tail = min(traj.masks[i].volume for i in tail_idx)
-    return VolumeSemicontinuityReport(
-        limit_volume=float(limit_volume),
-        min_tail_volume=float(min_tail),
-        passed=limit_volume <= min_tail + grid.cell_volume + 1e-12,
-    )

@@ -265,7 +265,6 @@ def resolvent_norm_diff(op_a: DirichletOperator | None,
 class ResolventTorsionReport:
     lhs: float              # operator-norm distance of the resolvents
     rhs: float              # L2 distance of the torsion functions
-    constant: float         # observed ratio lhs / rhs (0 when rhs = 0)
     duality_residual: float
 
 
@@ -281,9 +280,7 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
     lhs = resolvent_norm_diff(op_a, op_b)
     w_a = solve_torsion(op_a).values
     w_b = solve_torsion(op_b).values
-    rhs = l2_distance(w_a, w_b)
-    constant = lhs / rhs if rhs > 0 else 0.0
-    return ResolventTorsionReport(lhs=lhs, rhs=rhs, constant=constant,
+    return ResolventTorsionReport(lhs=lhs, rhs=l2_distance(w_a, w_b),
                                   duality_residual=duality_residual(op_a, op_b, w_a, w_b))
 
 
@@ -300,51 +297,3 @@ def duality_residual(op_a: DirichletOperator, op_b: DirichletOperator,
     left = meas * np.sum(r_a.values - r_b.values)
     right = meas * (f.values @ (w_a.values - w_b.values))
     return float(abs(left - right))
-
-
-def alpha_exponent_fit(pairs) -> float:
-    """Least-squares log-log slope of resolvent gap against torsion distance.
-
-    `pairs` is a sequence of (lhs, rhs) from torsion_resolvent_bound_check
-    over a family of shrinking perturbations.  Reported, never asserted.
-    """
-    pts = [(l, r) for l, r in pairs if l > 0 and r > 0]
-    if len(pts) < 2:
-        return float("nan")
-    logs = np.log(np.asarray(pts))
-    slope = np.polyfit(logs[:, 1], logs[:, 0], 1)[0]
-    return float(slope)
-
-
-def poincare_constant(op: DirichletOperator) -> float:
-    """Optimal C with ||u||_L2 <= C [u]; equals lambda_1^(-1/2)."""
-    return float(1.0 / np.sqrt(eigenpairs(op, 1).eigenvalues[0]))
-
-
-def capacity_estimate(base: StiffnessOperator, mask: DomainMask) -> float:
-    """Discrete capacity: minimize the Gagliardo form over u >= 1 on the mask.
-
-    The minimizer is u = 1 on the mask and its discrete-harmonic extension
-    off it.  This is exact because A is a Stieltjes matrix: the extension
-    lies in [0, 1], so (A u)_i >= rho_i > 0 on the mask and u satisfies the
-    KKT conditions of the constrained problem.
-    """
-    if mask.grid != base.grid:
-        raise StructuralError("mask and operator live on different grids")
-    if mask.is_empty:
-        return 0.0
-    grid = base.grid
-    if mask.n_active == grid.n_cells:
-        # every cell constrained: the minimizer is u = 1 on the whole box
-        # and only the exterior tail contributes
-        return float(base.tail.sum())
-    multi = grid.multi_index(mask.active_indices)
-    if multi.min() < 1 or multi.max() > grid.resolution - 2:
-        raise ParameterError(
-            "mask must keep at least one cell of margin to the box boundary"
-        )
-    off = DomainMask(grid, ~mask.cells)
-    u = np.ones(grid.n_cells)
-    coupling = base.matrix()[np.ix_(off.cells, mask.cells)].sum(axis=1)
-    u[off.cells] = restrict(base, off).solve(-coupling)
-    return float(u @ base.apply(u))

@@ -401,6 +401,14 @@ CLASSIFY = {"generator": "translating-bump", "seeds": [0]}
                  id="classify-length-string"),
     pytest.param("classify", dict(CLASSIFY, length=5), "length",
                  id="classify-length-under-8"),
+    # at the parent these ran after --out existed and exited 2 on a grid
+    # resolution over the grid budget, naming no config field
+    pytest.param("classify", dict(CLASSIFY, generator="flattening-bump", length=12),
+                 "length", id="classify-flattening-length-over-budget"),
+    pytest.param("classify", dict(CLASSIFY, generator="separating-pair", length=129),
+                 "length", id="classify-separating-length-over-budget"),
+    pytest.param("classify", dict(CLASSIFY, length=510), "length",
+                 id="classify-translating-length-over-budget"),
     pytest.param("classify", dict(CLASSIFY, epsilon_fraction=0.25),
                  "epsilon_fraction", id="classify-epsilon-quarter"),
     pytest.param("classify", dict(CLASSIFY, epsilon_fraction=0), "epsilon_fraction",
@@ -508,6 +516,9 @@ def test_validate_accepts_field_bounds():
                   {"mask_cells_min": 5, "mask_cells_max": 5}):
         validate_config("lieb", dict(LIEB, grid=GRID, s=0.5, **cells))
     validate_config("classify", dict(CLASSIFY, length=8, epsilon_fraction=0.2499))
+    for generator, length in (("translating-bump", 509), ("flattening-bump", 11),
+                              ("separating-pair", 128)):
+        validate_config("classify", dict(CLASSIFY, generator=generator, length=length))
     validate_config("audit", {"checks": ["dunford", "duality"]})
 
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape.concentration import (FunctionSequence, classify,
-                                     concentration_profile, cutoff_defect,
-                                     dichotomy_split,
+from fracshape import concentration as cc
+from fracshape.concentration import (FunctionSequence, _ball_masses, classify,
+                                     cutoff_defect, dichotomy_split,
                                      flattening_bump_sequence,
                                      lieb_translation_search, make_cutoffs,
-                                     make_sequence, separating_pair_sequence,
+                                     make_sequence, max_length,
+                                     separating_pair_sequence,
                                      translating_bump_sequence)
 from fracshape.errors import (DomainEmptyError, ParameterError,
                               StructuralError)
@@ -22,9 +23,15 @@ def grid_128():
     return build_grid(1, 8.0, 128)
 
 
+def _profile(grid, u, radii):
+    """The concentration profile that `classify` reads: per radius, the
+    largest L2 mass in a ball of that radius around a cell center."""
+    return _ball_masses(grid, u, radii).max(axis=1).tolist()
+
+
 def test_profile_zero_function(grid_128):
     u = GridFunction(grid_128, np.zeros(128))
-    assert concentration_profile(grid_128, u, [0.5, 1.0]) == [0.0, 0.0]
+    assert _profile(grid_128, u, [0.5, 1.0]) == [0.0, 0.0]
 
 
 def test_profile_point_mass(grid_128):
@@ -32,7 +39,7 @@ def test_profile_point_mass(grid_128):
     vals[64] = 3.0
     u = GridFunction(grid_128, vals)
     mass = u.l2_norm_sq()
-    prof = concentration_profile(grid_128, u, [grid_128.h, 1.0, 4.0])
+    prof = _profile(grid_128, u, [grid_128.h, 1.0, 4.0])
     assert prof == pytest.approx([mass] * 3)
 
 
@@ -41,7 +48,7 @@ def test_profile_two_bumps_half_mass(grid_128):
     vals = np.exp(-((x + 4) / 0.5) ** 2) + np.exp(-((x - 4) / 0.5) ** 2)
     u = GridFunction(grid_128, vals)
     total = u.l2_norm_sq()
-    prof = concentration_profile(grid_128, u, [3.0])
+    prof = _profile(grid_128, u, [3.0])
     assert prof[0] == pytest.approx(total / 2, rel=0.05)
 
 
@@ -49,7 +56,7 @@ def test_profile_monotone_and_bounded(grid_128):
     rng = np.random.default_rng(5)
     u = GridFunction(grid_128, rng.standard_normal(128))
     radii = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-    prof = concentration_profile(grid_128, u, radii)
+    prof = _profile(grid_128, u, radii)
     assert all(b >= a for a, b in zip(prof, prof[1:]))
     assert prof[-1] <= u.l2_norm_sq() + 1e-12
 
@@ -59,21 +66,13 @@ def test_profile_2d_matches_direct_sum():
     rng = np.random.default_rng(8)
     u = GridFunction(g, rng.standard_normal(g.n_cells))
     r = 0.9
-    prof = concentration_profile(g, u, [r])[0]
+    prof = _profile(g, u, [r])[0]
     density = g.cell_volume * u.values ** 2
     best = max(
         density[((g.cell_centers - c) ** 2).sum(axis=1) <= r * r].sum()
         for c in g.cell_centers
     )
     assert prof == pytest.approx(best, rel=1e-12)
-
-
-def test_profile_rejects_bad_radii(grid_128):
-    u = GridFunction(grid_128, np.ones(128))
-    with pytest.raises(ParameterError):
-        concentration_profile(grid_128, u, [2.0, 1.0])
-    with pytest.raises(ParameterError):
-        concentration_profile(grid_128, u, [-1.0])
 
 
 def test_make_sequence_rejects_wild_tail(grid_128):
@@ -102,6 +101,24 @@ def test_classify_three_families(seed):
         seq = gen(seed)
         rep = classify(seq, 0.2 * seq.mass_limit)
         assert rep.verdict == expected, gen.__name__
+
+
+@pytest.mark.parametrize("generator", ["translating-bump", "flattening-bump",
+                                       "separating-pair"])
+def test_max_length_meets_the_grid_budget(generator):
+    # the last entry's grid at its worst-case factor fits, the next does not
+    n = max_length(generator)
+    factor = cc._WORST_FACTOR[generator]
+    build_grid(1, 4.0, cc.BASE_RESOLUTION * factor(n - 1))
+    with pytest.raises(ParameterError, match="over the budget"):
+        build_grid(1, 4.0, cc.BASE_RESOLUTION * factor(n))
+
+
+def test_flattening_bump_runs_to_its_max_length():
+    n = max_length("flattening-bump")
+    assert len(flattening_bump_sequence(0, n).entries) == n
+    with pytest.raises(ParameterError, match="over the budget"):
+        flattening_bump_sequence(0, n + 1)
 
 
 def test_classify_compactness_tracks_translation():

@@ -7,9 +7,9 @@ from scipy.spatial.distance import cdist
 from fracshape import grid as grid_mod
 from fracshape.errors import ParameterError, StructuralError
 from fracshape.grid import (MAX_HALF_WIDTH, MIN_HALF_WIDTH, DomainMask, GridFunction,
-                            build_grid, empty_mask, full_mask, grid_from_json, grid_to_json, l2_inner,
+                            build_grid, empty_mask, full_mask, grid_from_json, grid_to_json,
                             mask_from_indices, mask_from_json, mask_to_json,
-                            min_pair_distance, translate_mask)
+                            min_pair_distance)
 
 
 def test_build_grid_basic():
@@ -30,7 +30,7 @@ def test_build_grid_2d_ordering():
     # C order: second axis varies fastest
     assert centers[0, 0] == centers[1, 0]
     assert centers[0, 1] != centers[1, 1]
-    flat = g.flat_index(g.multi_index(np.arange(16)))
+    flat = np.ravel_multi_index(tuple(g.multi_index(np.arange(16)).T), g.shape)
     assert np.array_equal(flat, np.arange(16))
 
 
@@ -103,7 +103,7 @@ def test_mask_volume_and_subset():
     g = build_grid(1, 4.0, 64)
     inner = mask_from_indices(g, [10, 11, 12])
     outer = mask_from_indices(g, [9, 10, 11, 12, 13])
-    assert inner.volume == pytest.approx(3 * g.cell_volume)
+    assert inner.n_active == 3
     assert inner.is_subset_of(outer)
     assert not outer.is_subset_of(inner)
     assert empty_mask(g).is_empty
@@ -117,29 +117,10 @@ def test_mask_grid_mismatch():
         mask_from_indices(g1, [0]).is_subset_of(mask_from_indices(g2, [0]))
 
 
-def test_translate_mask():
-    g = build_grid(1, 4.0, 64)
-    m = mask_from_indices(g, [10, 11])
-    t = translate_mask(m, [5])
-    assert np.array_equal(t.active_indices, [15, 16])
-    with pytest.raises(ParameterError):
-        translate_mask(m, [60])
-
-
-def test_translate_mask_2d():
-    g = build_grid(2, 1.0, 8)
-    m = mask_from_indices(g, g.flat_index(np.array([[3, 3], [3, 4]])))
-    t = translate_mask(m, [1, -2])
-    expected = g.flat_index(np.array([[4, 1], [4, 2]]))
-    assert np.array_equal(np.sort(t.active_indices), np.sort(expected))
-
-
 def test_grid_function_l2():
     g = build_grid(1, 2.0, 16)
     u = GridFunction(g, np.ones(16))
     assert u.l2_norm_sq() == pytest.approx(4.0)
-    v = GridFunction(g, np.arange(16.0))
-    assert l2_inner(u, v) == pytest.approx(g.cell_volume * np.arange(16.0).sum())
 
 
 def test_grid_function_shape_check():
@@ -160,16 +141,3 @@ def test_mask_json_roundtrip(indices):
     m = mask_from_indices(g, indices) if indices else empty_mask(g)
     back = mask_from_json(mask_to_json(m))
     assert np.array_equal(back.cells, m.cells)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=55), st.integers(min_value=-8, max_value=8))
-def test_translate_preserves_count(start, shift):
-    g = build_grid(1, 4.0, 64)
-    m = mask_from_indices(g, range(start, start + 8))
-    if 0 <= start + shift and start + shift + 8 <= 64:
-        t = translate_mask(m, [shift])
-        assert t.n_active == m.n_active
-    else:
-        with pytest.raises(ParameterError):
-            translate_mask(m, [shift])

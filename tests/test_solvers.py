@@ -8,13 +8,12 @@ from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
 from fracshape import solvers
 from fracshape.errors import (DomainEmptyError, NumericError, ParameterError,
                               StructuralError)
-from fracshape.forms import StiffnessOperator, assemble_stiffness
+from fracshape.forms import StiffnessOperator, assemble_stiffness, gagliardo_sq
 from fracshape.grid import (GridFunction, build_grid, empty_mask, full_mask,
                             mask_from_indices)
-from fracshape.solvers import (DirichletOperator, alpha_exponent_fit,
-                               apply_resolvent, capacity_estimate, eigenpairs,
-                               eigenvalues_or_inf, poincare_constant,
-                               resolvent_norm_diff, restrict, solve_torsion,
+from fracshape.solvers import (DirichletOperator, apply_resolvent, eigenpairs,
+                               eigenvalues_or_inf, resolvent_norm_diff,
+                               restrict, solve_torsion,
                                torsion_resolvent_bound_check)
 
 
@@ -74,7 +73,7 @@ def test_eigenpairs_match_dense_oracle(base_64, indices):
 
 def test_eigenpairs_2d_against_dense(base_2d):
     g = base_2d.grid
-    idx = g.flat_index(np.array([[i, j] for i in range(3, 7) for j in range(2, 8)]))
+    idx = np.ravel_multi_index(np.mgrid[3:7, 2:8].reshape(2, -1), g.shape)
     op = restrict(base_2d, mask_from_indices(g, idx))
     spec = eigenpairs(op, 3)
     w = eigh(op.matrix() / g.cell_volume, eigvals_only=True)
@@ -309,55 +308,14 @@ def test_bound_check_duality_negative_control(base_64, monkeypatch):
     assert torsion_resolvent_bound_check(outer, inner).duality_residual > 1e-8
 
 
-def test_shrinking_family_co_trend(base_64):
-    g = base_64.grid
-    outer = restrict(base_64, mask_from_indices(g, range(12, 52)))
-    pairs = []
-    for drop in (16, 8, 4, 2):
-        inner = restrict(base_64, mask_from_indices(g, range(12, 52 - drop)))
-        rep = torsion_resolvent_bound_check(outer, inner)
-        pairs.append((rep.lhs, rep.rhs))
-    lhs = [p[0] for p in pairs]
-    rhs = [p[1] for p in pairs]
-    assert all(b < a for a, b in zip(lhs, lhs[1:]))
-    assert all(b < a for a, b in zip(rhs, rhs[1:]))
-    alpha = alpha_exponent_fit(pairs)
-    assert np.isfinite(alpha) and alpha > 0
-
-
 def test_poincare_constant(base_64):
+    # lambda_1^(-1/2), the constant of audit.check_poincare, is optimal: the
+    # first eigenfunction attains ||u||_L2 = C [u]
     g = base_64.grid
-    mask = mask_from_indices(g, range(20, 44))
-    op = restrict(base_64, mask)
-    c = poincare_constant(op)
-    lam1 = eigenpairs(op, 1).eigenvalues[0]
-    assert c == pytest.approx(lam1 ** -0.5, rel=1e-12)
+    spec = eigenpairs(restrict(base_64, mask_from_indices(g, range(20, 44))), 1)
+    u = spec.eigenfunctions[0]
+    c = spec.eigenvalues[0] ** -0.5
+    assert u.l2_norm() == pytest.approx(c * np.sqrt(gagliardo_sq(base_64, u)), rel=1e-10)
     # shrinking masks give smaller constants
-    c_small = poincare_constant(restrict(base_64, mask_from_indices(g, range(25, 39))))
-    assert c_small < c
-
-
-def test_capacity_conventions(base_64):
-    g = base_64.grid
-    assert capacity_estimate(base_64, empty_mask(g)) == 0.0
-    assert capacity_estimate(base_64, full_mask(g)) == pytest.approx(
-        base_64.tail.sum(), rel=1e-12)
-    with pytest.raises(ParameterError):
-        capacity_estimate(base_64, mask_from_indices(g, [0, 1]))
-
-
-def test_capacity_monotonicity(base_64):
-    g = base_64.grid
-    small = capacity_estimate(base_64, mask_from_indices(g, range(28, 36)))
-    large = capacity_estimate(base_64, mask_from_indices(g, range(24, 40)))
-    assert 0 < small <= large
-
-
-def test_capacity_upper_bounds_indicator_energy(base_64):
-    from fracshape.forms import gagliardo_sq
-
-    g = base_64.grid
-    mask = mask_from_indices(g, range(28, 36))
-    cap = capacity_estimate(base_64, mask)
-    indicator = GridFunction(g, mask.cells.astype(float))
-    assert cap <= gagliardo_sq(base_64, indicator) + 1e-12
+    small = eigenpairs(restrict(base_64, mask_from_indices(g, range(25, 39))), 1)
+    assert small.eigenvalues[0] ** -0.5 < c
