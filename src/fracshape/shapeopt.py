@@ -18,8 +18,9 @@ from .errors import ParameterError
 from .forms import StiffnessOperator, assemble_stiffness
 from .grid import (DomainMask, Grid, GridFunction, _is_int, distances_from,
                    l2_distance, mask_from_indices, min_pair_distance)
-from .solvers import (TorsionFunction, _lowest_eigh, eigenpairs, eigenvalues_or_inf,
-                      resolvent_norm_diff, restrict, solve_torsion)
+from .solvers import (TorsionFunction, _lowest_eigh, _reflection_axes, eigenpairs,
+                      eigenvalues_or_inf, resolvent_norm_diff, restrict,
+                      solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
@@ -244,9 +245,12 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     in a dict dropped when the walk returns.  A new mask's matrix is one
     gather of the box matrix on the sorted active cells, and its
     eigenvalues come from `solvers._lowest_eigh`, the LAPACK call and
-    residual check that `eigenpairs` makes.  So every value is
-    `eval_functional`'s to the bit, and a walk is the same for a given seed
-    as one built from `eval_functional` and a morphological boundary.
+    residual check that `eigenpairs` makes on a mask no axis reflection of
+    the box maps onto itself.  A mask that one does is valued by
+    `eval_functional` itself, on `eigenpairs`' parity blocks.  So every
+    value is `eval_functional`'s to the bit, and a walk is the same for a
+    given seed as one built from `eval_functional` and a morphological
+    boundary.
     """
     grid = base.grid
     m = int(round(c / grid.cell_volume))
@@ -272,7 +276,9 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     def evaluate() -> float:
         key = np.packbits(cells).tobytes()
         value = memo.get(key)
-        if value is None:
+        if value is None and _reflection_axes(cells, grid.shape):
+            value = memo[key] = eval_functional(spec, base, DomainMask(grid, cells.copy()))
+        elif value is None:
             a = np.flatnonzero(cells)
             mu = _lowest_eigh(box[a[:, None], a], kk)[0]
             value = memo[key] = float(_eval_node(

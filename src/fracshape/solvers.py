@@ -14,6 +14,18 @@ loop), and resolvent-difference norms through an eigenvalue-only `dsyevr`
 call on the symmetric difference.  The calls are the wrappers' own, so the
 results are the same to the bit.  LAPACK does not check for NaN; every
 result is checked against a residual tolerance instead, which a NaN fails.
+
+A mask that some axis reflections of the box map onto itself is solved one
+parity block at a time.  The box matrix depends only on integer cell
+offsets, so it commutes with those reflections, and in the basis of signed
+orbit sums the restricted matrix splits into 2^p blocks for p symmetric
+axes (the symmetry-adapted basis; Bossavit, Comput. Methods Appl. Mech.
+Engrg. 56, 1986).  `eigenpairs` solves every block and merges the pairs; a
+linear solve solves the blocks its right-hand side has a component in, so
+`solve_torsion`, whose right-hand side is constant, solves only the
+all-even block.  Every answer is still checked against the whole
+restricted operator.  An asymmetric mask takes the direct path above, so
+its results are unchanged to the bit.
 """
 
 from __future__ import annotations
@@ -37,12 +49,122 @@ _SYEVR, _SYEVR_LWORK, _POTRF, _POTRS = get_lapack_funcs(
 
 
 @dataclass(frozen=True)
+class _ParityBlock:
+    """One parity block of a mask under its reflection group G.
+
+    For a character chi of G (chi(g) = +-1), the block's basis holds one
+    vector per orbit G c on which chi is 1 on the stabilizer S_c:
+    e_c = sum_{x in G c} chi(x) delta_x / sqrt|G c|.  `orbits[g]` holds the
+    active-cell positions of g c for the orbit representatives c;
+    `orbits[0]` are the representatives themselves, ascending.
+    """
+
+    signs: tuple            # chi(g) for each g in G, +1 or -1
+    orbits: np.ndarray      # (|G|, m) active-cell positions of g c
+    sizes: np.ndarray       # orbit sizes |G c|, as floats
+
+    @property
+    def stabilizers(self) -> np.ndarray:
+        """|S_c| = |G| / |G c|."""
+        return len(self.signs) / self.sizes
+
+    def signed_sum(self, take) -> np.ndarray:
+        """sum_g chi(g) take(orbits[g]), for a `take` that returns a new array."""
+        out = take(self.orbits[0])
+        for sign, cols in zip(self.signs[1:], self.orbits[1:]):
+            if sign > 0:
+                out += take(cols)
+            else:
+                out -= take(cols)
+        return out
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Coefficients e_c . v of an active-cell vector v."""
+        return self.signed_sum(v.__getitem__) * np.sqrt(self.sizes) / len(self.signs)
+
+    def spread(self, y: np.ndarray, n_active: int) -> np.ndarray:
+        """Active-cell values of sum_c y_c e_c (y a vector or columns):
+        y_c / sqrt|G c| copied with its sign over each orbit, so that each
+        column is exactly even or odd under every flip of G."""
+        y = y / np.sqrt(self.sizes).reshape((-1,) + (1,) * (y.ndim - 1))
+        out = np.zeros((n_active,) + y.shape[1:])
+        for sign, cols in zip(self.signs, self.orbits):
+            out[cols] = y if sign > 0 else -y
+        return out
+
+
+# basic-slicing indices that reverse axis 0 or axis 1 of a 1D or 2D box
+_REVERSE_AXIS = ((slice(None, None, -1),), (slice(None), slice(None, None, -1)))
+
+
+def _reflection_axes(cells: np.ndarray, shape: tuple) -> list:
+    """The axes whose reflection of the box maps the mask `cells` (flat,
+    C-ordered over `shape`) onto itself.
+
+    Compared as bytes of a reversed view, the cheapest test numpy offers:
+    every restriction and every new mask of the annealing walk makes it.
+    """
+    cube = cells.reshape(shape)
+    flat = cube.tobytes()
+    return [ax for ax in range(len(shape)) if cube[_REVERSE_AXIS[ax]].tobytes() == flat]
+
+
+def _parity_blocks(cells: np.ndarray, shape: tuple, axes: list) -> list:
+    """Parity blocks of a mask under the reflections of the box along
+    `axes`, a nonempty list of axes whose reflection maps it onto itself.
+
+    Those reflections form G = Z_2^p for the p symmetric axes (bit j of g
+    flips the j-th of them), with the 2^p characters chi(g) =
+    (-1)^popcount(chi & g).  The blocks come in the order chi = 0 (all
+    even), 1, ...  Orbit representatives are the active cells in the lower
+    half of every symmetric axis.  A cell on a mirror (the middle cell of an
+    odd axis) is fixed by that flip, so characters odd in that axis leave it
+    out, and a block with no cell left is dropped.
+    """
+    position = np.full(cells.size, -1)
+    position[cells] = np.arange(np.count_nonzero(cells))
+    position = position.reshape(shape)
+    coords = np.nonzero(cells.reshape(shape))
+    last = shape[0] - 1
+    lower = np.ones(coords[0].size, dtype=bool)
+    for ax in axes:
+        lower &= 2 * coords[ax] <= last
+    reps = tuple(c[lower] for c in coords)
+    mirror = np.array([2 * reps[ax] == last for ax in axes])
+    group = range(1 << len(axes))
+    orbits = np.array([np.flip(position, [ax for j, ax in enumerate(axes) if g >> j & 1])[reps]
+                       for g in group])
+    blocks = []
+    for chi in group:
+        keep = ~mirror[[j for j in range(len(axes)) if chi >> j & 1]].any(axis=0)
+        if keep.any():
+            signs = tuple(-1 if (chi & g).bit_count() & 1 else 1 for g in group)
+            sizes = 2.0 ** (len(axes) - mirror[:, keep].sum(axis=0))
+            blocks.append(_ParityBlock(signs, orbits[:, keep], sizes))
+    return blocks
+
+
+@dataclass(frozen=True)
 class DirichletOperator:
-    """Stiffness form restricted to the active cells of a mask."""
+    """Stiffness form restricted to the active cells of a mask.
+
+    On a mask that some axis reflections of the box map onto itself (a
+    symmetric mask), `eigenpairs` and `solve` work on the parity blocks and
+    never gather the restricted matrix; `matrix()` still builds it on
+    request.
+    """
 
     base: StiffnessOperator
     mask: DomainMask
     active_index: np.ndarray = field(repr=False)
+    # the axes whose reflection of the box maps the mask onto itself; set
+    # here rather than as a cached property, whose first read costs more
+    # than the test on a small mask
+    _mirror_axes: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_mirror_axes",
+                           _reflection_axes(self.mask.cells, self.grid.shape))
 
     @property
     def grid(self):
@@ -61,22 +183,63 @@ class DirichletOperator:
 
     @cached_property
     def _cho(self) -> np.ndarray:
-        """Upper Cholesky factor: the dpotrf call of `cho_factor`."""
-        c, info = _POTRF(self._matrix, lower=0, clean=0)
-        if info != 0:
-            raise NumericError(f"dpotrf failed: info = {info}")
-        return c
+        """Upper Cholesky factor of the restricted matrix."""
+        return _potrf(self._matrix)
+
+    @cached_property
+    def _parity(self) -> list:
+        """A symmetric mask's parity blocks, the all-even one first."""
+        return _parity_blocks(self.mask.cells, self.grid.shape, self._mirror_axes)
+
+    @cached_property
+    def _block_chos(self) -> dict:
+        """Upper Cholesky factors of the parity blocks, by position in
+        `_parity`, each made on first use."""
+        return {}
+
+    def _block(self, blk: _ParityBlock) -> np.ndarray:
+        """The block's matrix, gathered from the box matrix A.
+
+        Entry (c, c') is sum_g chi(g) A[c, g c'] / sqrt(|S_c| |S_c'|): a
+        signed sum of |G| gathers on the representatives.
+        """
+        box, act = self.base.matrix(), self.active_index
+        rows = act[blk.orbits[0]][:, None]
+        out = blk.signed_sum(lambda cols: box[rows, act[cols]])
+        out /= np.sqrt(np.outer(blk.stabilizers, blk.stabilizers))
+        return out
 
     def matrix(self) -> np.ndarray:
         """Restricted matrix: cached and read-only; do not copy."""
         return self._matrix
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for active-cell values x (a vector or columns).  On a
+        symmetric mask this goes through the box matrix, so that the
+        restricted matrix is never gathered."""
+        if not self._mirror_axes:
+            return self._matrix @ x
+        full = np.zeros((self.grid.n_cells,) + x.shape[1:])
+        full[self.active_index] = x
+        return (self.base.matrix() @ full)[self.active_index]
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct solve on active cells via the cached Cholesky factor: the
-        dpotrs call of `cho_solve`."""
-        x, info = _POTRS(self._cho, rhs, lower=0)
-        if info != 0:
-            raise NumericError(f"dpotrs failed: info = {info}")
+        """Direct solve on active cells via cached Cholesky factors: the
+        dpotrs call of `cho_solve`.
+
+        On a symmetric mask, each parity block in which rhs has a nonzero
+        component is solved on its own factor; a right-hand side even under
+        every flip, such as the torsion's, needs only the all-even block.
+        """
+        if not self._mirror_axes:
+            return _potrs(self._cho, rhs)
+        x = np.zeros(self.n_active)
+        for i, blk in enumerate(self._parity):
+            z = blk.project(rhs)
+            if z.any():
+                if i not in self._block_chos:
+                    self._block_chos[i] = _potrf(self._block(blk))
+                x += blk.spread(_potrs(self._block_chos[i], z), self.n_active)
         return x
 
     def scatter(self, active_values: np.ndarray) -> GridFunction:
@@ -123,10 +286,26 @@ class Spectrum:
         return [self.op.scatter(_sign_normalize(v)) for v in self.vectors.T]
 
 
+def _potrf(a_mat: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor: the dpotrf call of `cho_factor`."""
+    c, info = _POTRF(a_mat, lower=0, clean=0)
+    if info != 0:
+        raise NumericError(f"dpotrf failed: info = {info}")
+    return c
+
+
+def _potrs(cho: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve by an upper Cholesky factor: the dpotrs call of `cho_solve`."""
+    x, info = _POTRS(cho, rhs, lower=0)
+    if info != 0:
+        raise NumericError(f"dpotrs failed: info = {info}")
+    return x
+
+
 def _checked_solve(op: DirichletOperator, b: np.ndarray) -> tuple:
-    """Solve A x = b by the cached factor; also return ||A x - b|| / ||b||."""
+    """Solve A x = b by the cached factors; also return ||A x - b|| / ||b||."""
     x = op.solve(b)
-    r = op.matrix() @ x - b
+    r = op._apply(x) - b
     # np.linalg.norm of a vector without its wrapper, the same bits
     norm_b = np.sqrt(b @ b)
     residual = np.sqrt(r @ r) / norm_b if norm_b > 0 else 0.0
@@ -139,7 +318,11 @@ def _checked_solve(op: DirichletOperator, b: np.ndarray) -> tuple:
 
 
 def solve_torsion(op: DirichletOperator) -> TorsionFunction:
-    """Solve A w = h^dim on the mask; w >= 0 by the discrete maximum principle."""
+    """Solve A w = h^dim on the mask; w >= 0 by the discrete maximum principle.
+
+    The right-hand side is even under every reflection that maps the mask
+    onto itself, so `solve` factors and solves only the all-even block.
+    """
     b = np.full(op.n_active, op.grid.cell_volume)
     x, residual = _checked_solve(op, b)
     return TorsionFunction(mask=op.mask, values=op.scatter(x), residual=residual)
@@ -164,18 +347,42 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
 
     Eigenfunctions are normalized in the h^dim-weighted L2 inner product,
     with the entry of largest modulus made positive.  `_lowest_eigh` runs on
-    the cached, unscaled A (not overwritten: `solve` reuses it) and returns
-    mu = lambda h^dim.  Residuals are ||A v - mu v|| / |mu|, the same as for
-    A / h^dim.
+    the cached, unscaled A (not overwritten: `solve` reuses it), or on a
+    symmetric mask's parity blocks (`_parity_eigh`), and returns mu =
+    lambda h^dim.  On a symmetric mask each eigenfunction is exactly even or
+    odd under every reflection that maps the mask onto itself.  Residuals
+    are ||A v - mu v|| / |mu|, the same as for A / h^dim.
     """
     n = op.n_active
     if not (1 <= k <= n):
         raise ParameterError(f"k must lie in [1, {n}], got {k}")
     h_meas = op.grid.cell_volume
-    mu, vecs, residuals = _lowest_eigh(op.matrix(), k)
+    if op._mirror_axes:
+        mu, vecs, residuals = _parity_eigh(op, k)
+    else:
+        mu, vecs, residuals = _lowest_eigh(op.matrix(), k)
     # dsyevr returns unit vectors: rescale to unit h^dim-weighted L2 norm
     vecs = vecs / np.sqrt(h_meas)
     return Spectrum(eigenvalues=mu / h_meas, residuals=residuals, op=op, vectors=vecs)
+
+
+def _parity_eigh(op: DirichletOperator, k: int) -> tuple:
+    """`_lowest_eigh` for a symmetric mask, one parity block at a time.
+
+    Each block gives its lowest min(k, block size) pairs.  They merge in
+    ascending order, ties in block order, and each vector is spread over
+    the active cells with exact sign copies.  The merged pairs are checked
+    again on the whole restricted operator.
+    """
+    mus, vecs = [], []
+    for blk in op._parity:
+        mu, y, _ = _lowest_eigh(op._block(blk), min(k, blk.sizes.size))
+        mus.append(mu)
+        vecs.append(blk.spread(y, op.n_active))
+    mu, vecs = np.concatenate(mus), np.hstack(vecs)
+    order = np.argsort(mu, kind="stable")[:k]
+    mu, vecs = mu[order], vecs[:, order]
+    return mu, vecs, _eig_residuals(op._apply(vecs), vecs, mu)
 
 
 @cache
@@ -205,13 +412,18 @@ def _lowest_eigh(a_mat: np.ndarray, k: int) -> tuple:
     if info != 0:
         raise NumericError(f"dsyevr failed: info = {info}")
     mu = mu[:k]
+    return mu, vecs, _eig_residuals(a_mat @ vecs, vecs, mu)
+
+
+def _eig_residuals(av: np.ndarray, vecs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """||A v - mu v|| / |mu| per pair from A v, checked against EIG_RTOL."""
     # np.linalg.norm(r, axis=0) without its wrapper, the same bits
-    r = a_mat @ vecs - vecs * mu
+    r = av - vecs * mu
     residuals = np.sqrt(np.add.reduce(r * r, axis=0)) / np.abs(mu)
     if not residuals.max() <= EIG_RTOL:     # NaN fails too
         raise NumericError("eigensolver missed the residual tolerance",
                            achieved=float(residuals.max()))
-    return mu, vecs, residuals
+    return residuals
 
 
 def eigenvalues_or_inf(base: StiffnessOperator, mask: DomainMask, k: int) -> np.ndarray:

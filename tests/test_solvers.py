@@ -9,8 +9,8 @@ from fracshape import solvers
 from fracshape.errors import (DomainEmptyError, NumericError, ParameterError,
                               StructuralError)
 from fracshape.forms import StiffnessOperator, assemble_stiffness, gagliardo_sq
-from fracshape.grid import (GridFunction, build_grid, empty_mask, full_mask,
-                            mask_from_indices)
+from fracshape.grid import (DomainMask, GridFunction, build_grid, distances_from,
+                            empty_mask, full_mask, mask_from_indices)
 from fracshape.solvers import (DirichletOperator, apply_resolvent, eigenpairs,
                                eigenvalues_or_inf, resolvent_norm_diff,
                                restrict, solve_torsion,
@@ -55,7 +55,7 @@ def test_restriction_is_principal_submatrix(base_64):
 
 
 @pytest.mark.parametrize("indices", [range(20, 52), [3, 7, 8, 9, 30, 31, 55],
-                                     [1, 2]])
+                                     [1, 2], range(64), [10, 53]])
 def test_eigenpairs_match_dense_oracle(base_64, indices):
     mask = mask_from_indices(base_64.grid, indices)
     op = restrict(base_64, mask)
@@ -95,18 +95,110 @@ def test_eigenpairs_degenerate_pair_full_square(base_2d):
 
 
 def test_eigenpairs_peak_memory():
-    # eigh works on its own copy of the cached matrix; no scaled n x n copy
-    # comes on top of it
+    # the full square solves four parity blocks of n / 4 cells each and
+    # never gathers the n x n restricted matrix: the peak reads 0.21 n^2
+    # float64 (a block, its gather temporary and dsyevr's copy)
     g = build_grid(2, 4.0, 32)
     op = restrict(assemble_stiffness(g, 0.5), full_mask(g))
-    op.matrix()
     tracemalloc.start()
     try:
         eigenpairs(op, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * g.n_cells ** 2
+    assert peak < 0.3 * 8 * g.n_cells ** 2
+
+
+def _square_mask(grid, rows, cols):
+    cells = np.zeros(grid.shape, dtype=bool)
+    cells[rows, cols] = True
+    return DomainMask(grid, cells.ravel())
+
+
+# (dim, resolution, mask, k, symmetric axes): full boxes of both parities
+# (an odd box has mirror cells, which the odd blocks leave out), a mask
+# symmetric in one axis only, a centred disc, a 2-cell mask with k = n, and
+# k above the size of every block
+SYMMETRIC_CASES = {
+    "full-63": (1, 63, full_mask, 4, [0]),
+    "full-64": (1, 64, full_mask, 4, [0]),
+    "full-15x15": (2, 15, full_mask, 4, [0, 1]),
+    "full-16x16": (2, 16, full_mask, 4, [0, 1]),
+    "one-axis": (2, 16, lambda g: _square_mask(g, slice(2, 14), slice(3, 9)), 5, [0]),
+    "disc": (2, 15, lambda g: DomainMask(g, distances_from(g, [0.0, 0.0]) < 1.5), 6, [0, 1]),
+    "two-cells": (1, 64, lambda g: mask_from_indices(g, [10, 53]), 2, [0]),
+    "three-cells": (1, 63, lambda g: mask_from_indices(g, [20, 31, 42]), 3, [0]),
+    "centre-2x2": (2, 16, lambda g: _square_mask(g, slice(7, 9), slice(7, 9)), 4, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRIC_CASES)
+def test_parity_blocks_match_dense(case):
+    # eigenpairs and torsion of reflection-symmetric masks, solved one
+    # parity block at a time, against eigvalsh and cho_solve on the
+    # restricted matrix; every eigenfunction is exactly even or odd, and the
+    # torsion exactly even, under each reflection that fixes the mask
+    dim, resolution, make_mask, k, axes = SYMMETRIC_CASES[case]
+    g = build_grid(dim, 2.0, resolution)
+    base = assemble_stiffness(g, 0.5)
+    op = restrict(base, make_mask(g))
+    assert op._mirror_axes == axes
+    spec = eigenpairs(op, k)
+    a_mat = base.matrix()[np.ix_(op.active_index, op.active_index)]
+    w = eigvalsh(a_mat / g.cell_volume)[:k]
+    assert np.allclose(spec.eigenvalues, w, rtol=1e-12, atol=0)
+    assert np.all(spec.residuals <= 1e-12)
+    vecs = np.column_stack([f.values for f in spec.eigenfunctions])
+    assert np.abs(g.cell_volume * vecs.T @ vecs - np.eye(k)).max() < 1e-12
+    cube = vecs.reshape(g.shape + (k,))
+    tor = solve_torsion(op).values.values
+    ref = cho_solve(cho_factor(a_mat), np.full(op.n_active, g.cell_volume))
+    assert np.abs(tor[op.active_index] - ref).max() < 1e-12 * ref.max()
+    for ax in axes:
+        flipped = np.flip(cube, ax)
+        for j in range(k):
+            assert (np.array_equal(flipped[..., j], cube[..., j])
+                    or np.array_equal(flipped[..., j], -cube[..., j]))
+        assert np.array_equal(np.flip(tor.reshape(g.shape), ax), tor.reshape(g.shape))
+
+
+def test_asymmetric_mask_is_the_dense_solve_to_the_bit():
+    # negative control: one cell away from the symmetric full square, the
+    # mask has no reflection, and the answers are the gather's dsyevr and
+    # dpotrf/dpotrs results to the bit
+    g = build_grid(2, 2.0, 16)
+    base = assemble_stiffness(g, 0.5)
+    cells = np.ones(g.n_cells, dtype=bool)
+    cells[0] = False
+    op = restrict(base, DomainMask(g, cells))
+    assert op._mirror_axes == []
+    spec = eigenpairs(op, 4)
+    mu, vecs, residuals = solvers._lowest_eigh(op.matrix(), 4)
+    assert np.array_equal(spec.eigenvalues, mu / g.cell_volume)
+    assert np.array_equal(spec.vectors, vecs / np.sqrt(g.cell_volume))
+    assert np.array_equal(spec.residuals, residuals)
+    ref = cho_solve(cho_factor(op.matrix()), np.full(op.n_active, g.cell_volume))
+    assert np.array_equal(solve_torsion(op).values.values[op.active_index], ref)
+
+
+def test_symmetric_eigenfunction_sign_is_stable():
+    # lambda_4 on the full square is odd in both axes; its four extremal
+    # cells form one orbit, equal in modulus to the bit on the parity
+    # blocks, so the sign of the written eigenfunction survives a
+    # rounding-level change of the box matrix
+    g = build_grid(2, 4.0, 32)
+    base = assemble_stiffness(g, 0.5)
+    scaled = replace(base, box_matrix=base.box_matrix * (1 + 1e-14))
+    orbit = np.ravel_multi_index(([7, 7, 24, 24], [7, 24, 7, 24]), g.shape)
+    ops = [restrict(b, full_mask(g)) for b in (base, scaled)]
+    efs = [eigenpairs(op, 4).eigenfunctions[3].values for op in ops]
+    assert np.unique(np.abs(efs[0][orbit])).size == 1
+    assert np.argmax(np.abs(efs[0])) == orbit[0]
+    assert np.abs(efs[0] - efs[1]).max() < 1e-10
+    # negative control: the dense solve of the same matrix ties the four
+    # moduli only to rounding, so its argmax, and sign, follow the rounding
+    dense = solvers._lowest_eigh(ops[0].matrix(), 4)[1][:, 3]
+    assert np.unique(np.abs(dense[orbit])).size > 1
 
 
 def test_first_eigenfunction_nonnegative(base_64):
@@ -237,6 +329,19 @@ def test_residual_checks_can_fail(base_64, monkeypatch):
     monkeypatch.setattr(solvers, "_SYEVR", bad_syevr)
     with pytest.raises(NumericError):
         eigenpairs(op, 2)
+    # the mask is symmetric: a parity block off by 1e-6 relative solves
+    # consistently, and the checks on the whole restricted operator must
+    # catch it
+    monkeypatch.undo()
+    assert op._mirror_axes == [0]
+    exact_block = DirichletOperator._block
+    monkeypatch.setattr(DirichletOperator, "_block",
+                        lambda self, blk: (1 + 1e-6) * exact_block(self, blk))
+    fresh = restrict(base_64, op.mask)
+    with pytest.raises(NumericError):
+        solve_torsion(fresh)
+    with pytest.raises(NumericError):
+        eigenpairs(fresh, 2)
 
 
 def test_residual_checks_fail_on_nan(base_64, monkeypatch):
