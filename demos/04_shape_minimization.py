@@ -9,7 +9,7 @@ detector classifies as compactness.
 
 from fracshape import (DomainMask, assemble_stiffness, ball_mask, build_grid,
                        connected_components, detect_dichotomy,
-                       make_functional, minimize_shape, trajectory_from_masks)
+                       make_functional, minimize_shape)
 
 grid = build_grid(1, 8.0, 128)
 op = assemble_stiffness(grid, 0.5)
@@ -28,13 +28,13 @@ def two_clusters(d_cells):
     return DomainMask(grid, a.cells | b.cells)
 
 
-receding = trajectory_from_masks(op, [two_clusters(d) for d in (4, 8, 16, 32)])
+receding = [two_clusters(d) for d in (4, 8, 16, 32)]
 print(f"receding-pair trajectory verdict: "
       f"'{detect_dichotomy(receding, op).verdict}'")
 
 spec1 = make_functional("l1", 1, "l1")
 traj = minimize_shape(spec1, op, volume, iterations=10000, seed=0)
 comps = connected_components(traj.masks[-1])
-tail = trajectory_from_masks(op, [traj.masks[-1]] * 4)
+tail = [traj.masks[-1]] * 4
 print(f"minimize l1: J = {traj.values[-1]:.5f}, {len(comps)} cluster(s), "
       f"constant-tail verdict '{detect_dichotomy(tail, op).verdict}'")

@@ -19,6 +19,5 @@ from .concentration import (FunctionSequence, SplitPair, TrichotomyReport, class
                             separating_pair_sequence, translating_bump_sequence)
 from .shapeopt import (AnnealingSchedule, DichotomyReport, FunctionalSpec, ShapeTrajectory,
                        ball_mask, connected_components, detect_dichotomy, eval_functional,
-                       make_functional, minimize_shape, trajectory_from_masks,
-                       two_ball_experiment)
+                       make_functional, minimize_shape, two_ball_experiment)
 from .audit import CheckResult, bounds_audit, check_names

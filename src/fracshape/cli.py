@@ -297,7 +297,7 @@ def _run_minimize(config, out, seeds):
         path = out / f"trajectory_seed{seed}.jsonl"
         path.write_text("\n".join(lines) + "\n", newline="\n")
         files.append(path)
-        report = shapeopt.detect_dichotomy(traj, base)
+        report = shapeopt.detect_dichotomy(traj.masks, base)
         write_json(out / f"summary_seed{seed}.json", {
             "final_value": traj.values[-1], "final_mask": mask_to_json(traj.masks[-1]),
             "verdict": report.verdict, "separations": report.separations,

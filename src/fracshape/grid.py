@@ -229,9 +229,14 @@ def _rle_encode(bits: np.ndarray) -> str:
 
 
 def _rle_decode(text: str, length: int) -> np.ndarray:
+    """Inverse of `_rle_encode`: each comma-separated token must be a
+    nonnegative decimal integer, and the runs must add up to `length`."""
     bits = np.zeros(length, dtype=bool)
     pos, value = 0, False
     for token in text.split(","):
+        if not (token.isascii() and token.isdigit()):
+            raise ParameterError(f"cells run length {token[:20]!r} is not a "
+                                 f"nonnegative decimal integer")
         run = int(token)
         bits[pos:pos + run] = value
         pos += run

@@ -2,8 +2,8 @@
 
 Functionals are monotone expressions over the first k Dirichlet eigenvalues.
 The minimizer is a simulated-annealing exchange walk over equal-volume cell
-masks; a detector classifies the resulting trajectories as compactness-like
-or dichotomy-like.
+masks; a detector classifies the tail of a mask sequence, such as a walk's
+improvement snapshots, as compactness-like or dichotomy-like.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .errors import ParameterError
 from .forms import StiffnessOperator, assemble_stiffness
 from .grid import (DomainMask, Grid, GridFunction, _is_int, distances_from,
                    l2_distance, mask_from_indices, min_pair_distance)
-from .solvers import (TorsionFunction, _lowest_eigh, _reflection_axes, eigenpairs,
-                      eigenvalues_or_inf, resolvent_norm_diff, restrict,
+from .solvers import (DirichletOperator, TorsionFunction, _lowest_eigh, _reflection_axes,
+                      eigenpairs, eigenvalues_or_inf, resolvent_norm_diff, restrict,
                       solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
@@ -189,15 +189,13 @@ class AnnealingSchedule:
 class ShapeTrajectory:
     """Improvement snapshots of a volume-constrained minimization walk.
 
-    masks/values/torsions record the incumbent-best sequence (values are
+    masks/values record the incumbent-best sequence (values are
     nonincreasing by construction); move_log records every accepted move,
     including uphill annealing moves.
     """
 
     masks: list
     values: list
-    torsions: list
-    seed: int
     move_log: list
 
 
@@ -322,20 +320,7 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         else:
             cells[out_cell] = True
             cells[in_cell] = False
-    torsions = [solve_torsion(restrict(base, mk)) for mk in masks]
-    return ShapeTrajectory(masks=masks, values=values, torsions=torsions,
-                           seed=seed, move_log=move_log)
-
-
-def trajectory_from_masks(base: StiffnessOperator, masks) -> ShapeTrajectory:
-    """Wrap an explicit mask sequence as a trajectory (for the detectors);
-    it has no functional values (NaN) and seed 0."""
-    masks = list(masks)
-    if not masks:
-        raise ParameterError("trajectory needs at least one mask")
-    torsions = [solve_torsion(restrict(base, mk)) for mk in masks]
-    return ShapeTrajectory(masks=masks, values=[float("nan")] * len(masks),
-                           torsions=torsions, seed=0, move_log=[])
+    return ShapeTrajectory(masks=masks, values=values, move_log=move_log)
 
 
 # --- trajectory detectors -----------------------------------------------------
@@ -343,8 +328,7 @@ def trajectory_from_masks(base: StiffnessOperator, masks) -> ShapeTrajectory:
 @dataclass(frozen=True)
 class DichotomyReport:
     verdict: str                 # compactness | dichotomy | inconclusive
-    components: list | None      # per tail mask: (cluster1 mask, cluster2 mask)
-    separations: list
+    separations: list            # per tail mask, when every one is two clusters
     component_volumes: list
     resolvent_gap: list
 
@@ -396,45 +380,44 @@ def connected_components(mask: DomainMask) -> list:
                                            sizes[rank].tolist())]
 
 
-def _component_gap(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    centers = grid.cell_centers
+def _component_gap(centers: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return min_pair_distance(centers[a], centers[b])
 
 
-def _two_clusters(grid: Grid, comps: list):
+def _two_clusters(centers: np.ndarray, comps: list):
     """Single-linkage agglomeration of components down to two clusters."""
     clusters = list(comps)
     while len(clusters) > 2:
         i, j = min(itertools.combinations(range(len(clusters)), 2),
-                   key=lambda ij: _component_gap(grid, clusters[ij[0]], clusters[ij[1]]))
+                   key=lambda ij: _component_gap(centers, clusters[ij[0]], clusters[ij[1]]))
         clusters[i] = np.concatenate([clusters[i], clusters[j]])
         del clusters[j]
     return [np.sort(c) for c in clusters]
 
 
-def _analyze_mask(base: StiffnessOperator, mask: DomainMask):
-    """Split a mask into two clusters, dropping small debris components.
+def _analyze_mask(op: DirichletOperator, centers: np.ndarray):
+    """Split a restricted mask into two clusters, dropping small debris
+    components; `centers` are the grid's cell centers.
 
-    Returns (cluster index arrays, separation, volumes, resolvent gap to the
-    debris-free union), or None when the mask is not two clusters plus
-    debris.
+    Returns (separation, volumes, resolvent gap to the debris-free union),
+    or None when the mask is not two clusters plus debris.
     """
-    grid = mask.grid
+    mask, grid = op.mask, op.grid
     comps = connected_components(mask)
     debris_cells = int(DEBRIS_FRACTION * mask.n_active)
     main = [c for c in comps if c.size > debris_cells]
     dropped = mask.n_active - sum(c.size for c in main)
     if dropped > debris_cells or len(main) < 2:
         return None
-    clusters = _two_clusters(grid, main)
-    sep = _component_gap(grid, clusters[0], clusters[1])
+    clusters = _two_clusters(centers, main)
+    sep = _component_gap(centers, clusters[0], clusters[1])
     vols = (grid.cell_volume * clusters[0].size, grid.cell_volume * clusters[1].size)
     if dropped > 0:
         kept = mask_from_indices(grid, np.concatenate(clusters))
-        gap = resolvent_norm_diff(restrict(base, mask), restrict(base, kept))
+        gap = resolvent_norm_diff(op, restrict(op.base, kept))
     else:
         gap = 0.0
-    return clusters, sep, vols, gap
+    return sep, vols, gap
 
 
 def _recentered_torsion(t: TorsionFunction) -> GridFunction:
@@ -462,46 +445,35 @@ def _recentered_torsion(t: TorsionFunction) -> GridFunction:
     return GridFunction(grid, out.ravel())
 
 
-def _tail_indices(traj: ShapeTrajectory) -> list:
-    """Indices of the trajectory tail: the last third, at least two masks."""
-    if not traj.masks:
-        raise ParameterError("trajectory is empty")
-    n = len(traj.masks)
-    return list(range(max(0, n - max(2, n // 3)), n))
+def detect_dichotomy(masks: list, base: StiffnessOperator) -> DichotomyReport:
+    """Classify the tail of a mask sequence (its last third, at least two
+    masks) as dichotomy-like or compactness-like.
 
-
-def detect_dichotomy(traj: ShapeTrajectory, base: StiffnessOperator) -> DichotomyReport:
-    """Classify a trajectory tail as dichotomy-like or compactness-like.
-
-    Dichotomy needs two clusters with strictly increasing separation,
-    cluster volumes bounded away from zero, and a small resolvent gap to
-    the debris-free union.  Compactness needs the recentered torsion
-    functions to be Cauchy in L2.
+    Dichotomy needs every tail mask to split into two clusters plus debris,
+    with strictly increasing separation and a resolvent gap to the
+    debris-free union of at most RESOLVENT_GAP_FRACTION / lambda_1.
+    Compactness needs the recentered torsion functions to be Cauchy in L2.
+    Each tail mask is restricted once, and the gap, lambda_1 and torsion
+    all read that operator; torsions are solved only when no dichotomy
+    verdict is found.
     """
-    tail_idx = _tail_indices(traj)
-    analyses = [_analyze_mask(base, traj.masks[i]) for i in tail_idx]
-    separations, volumes, gaps, components = [], [], [], []
+    if not masks:
+        raise ParameterError("detect_dichotomy needs at least one mask")
+    ops = [restrict(base, mk) for mk in masks[-max(2, len(masks) // 3):]]
+    centers = base.grid.cell_centers
+    analyses = [_analyze_mask(op, centers) for op in ops]
+    separations, volumes, gaps = [], [], []
     if all(a is not None for a in analyses):
-        for (clusters, sep, vols, gap), i in zip(analyses, tail_idx):
-            grid = traj.masks[i].grid
-            components.append((mask_from_indices(grid, clusters[0]),
-                               mask_from_indices(grid, clusters[1])))
-            separations.append(sep)
-            volumes.append(vols)
-            gaps.append(gap)
+        separations, volumes, gaps = (list(col) for col in zip(*analyses))
         increasing = all(b > a for a, b in zip(separations, separations[1:]))
-        floor = min(min(v) for v in volumes) > 0
-        norms = [1.0 / eigenpairs(restrict(base, traj.masks[i]), 1).eigenvalues[0]
-                 for i in tail_idx]
-        small_gap = all(g <= RESOLVENT_GAP_FRACTION * nm
-                        for g, nm in zip(gaps, norms))
-        if increasing and floor and small_gap:
-            return DichotomyReport("dichotomy", components, separations,
-                                   volumes, gaps)
-    recentered = [_recentered_torsion(traj.torsions[i]) for i in tail_idx]
+        # the resolvent norm ||R_A|| is 1 / lambda_1(A)
+        if increasing and all(
+                g <= RESOLVENT_GAP_FRACTION * (1.0 / eigenpairs(op, 1).eigenvalues[0])
+                for g, op in zip(gaps, ops)):
+            return DichotomyReport("dichotomy", separations, volumes, gaps)
+    recentered = [_recentered_torsion(solve_torsion(op)) for op in ops]
     scale = np.mean([w.l2_norm() for w in recentered])
     if scale > 0 and all(l2_distance(a, b) < CAUCHY_FRACTION * scale
                          for a, b in itertools.combinations(recentered, 2)):
-        return DichotomyReport("compactness", None, separations, volumes, gaps)
-    return DichotomyReport("inconclusive", components or None, separations,
-                           volumes, gaps)
+        return DichotomyReport("compactness", separations, volumes, gaps)
+    return DichotomyReport("inconclusive", separations, volumes, gaps)

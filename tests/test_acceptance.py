@@ -23,7 +23,7 @@ from fracshape.grid import (DomainMask, GridFunction, build_grid,
 from fracshape.shapeopt import (ball_mask, connected_components,
                                 detect_dichotomy, eval_functional,
                                 make_functional, minimize_shape,
-                                trajectory_from_masks, two_ball_experiment)
+                                two_ball_experiment)
 from fracshape.solvers import (eigenpairs, resolvent_norm_diff, restrict,
                                solve_torsion, torsion_resolvent_bound_check)
 
@@ -221,7 +221,7 @@ def test_criterion_09_dichotomy_and_compactness_signatures():
         b = ball_mask(g, [off], cells_each * g.h)
         return DomainMask(g, a.cells | b.cells)
 
-    synthetic = trajectory_from_masks(base, [two_ball(d) for d in (4, 8, 16, 32)])
+    synthetic = [two_ball(d) for d in (4, 8, 16, 32)]
     assert detect_dichotomy(synthetic, base).verdict == "dichotomy"
 
     spec1 = make_functional("l1", 1, "l1")
@@ -232,8 +232,7 @@ def test_criterion_09_dichotomy_and_compactness_signatures():
     assert len(connected_components(traj.masks[-1])) == 1
     rel = traj.values[-1] / oracle - 1.0
     assert rel <= 0.01
-    tail = trajectory_from_masks(base, [traj.masks[-1]] * 4)
-    assert detect_dichotomy(tail, base).verdict == "compactness"
+    assert detect_dichotomy([traj.masks[-1]] * 4, base).verdict == "compactness"
     print(f"criterion 9 (optimizer signatures): PASS, 10/10 two-cluster runs, "
           f"control within {rel:.2e} of interval oracle")
 

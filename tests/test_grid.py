@@ -141,3 +141,11 @@ def test_mask_json_roundtrip(indices):
     m = mask_from_indices(g, indices) if indices else empty_mask(g)
     back = mask_from_json(mask_to_json(m))
     assert np.array_equal(back.cells, m.cells)
+
+
+@pytest.mark.parametrize("cells", ["-5,69", "10,-3,57", "10,,54", "1e1,54"])
+def test_mask_from_json_rejects_malformed_runs(cells):
+    # at the parent "-5,69" decoded to cells 59-63, "10,-3,57" to the empty
+    # mask, and the other two raised a bare ValueError
+    with pytest.raises(ParameterError, match="nonnegative decimal integer"):
+        mask_from_json({"grid": grid_to_json(build_grid(1, 4.0, 64)), "cells": cells})

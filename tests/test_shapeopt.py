@@ -12,8 +12,7 @@ from fracshape.grid import (DomainMask, GridFunction, build_grid, empty_mask,
 from fracshape.shapeopt import (AnnealingSchedule, ball_mask,
                                 connected_components, detect_dichotomy,
                                 eval_functional, make_functional,
-                                minimize_shape, trajectory_from_masks,
-                                two_ball_experiment)
+                                minimize_shape, two_ball_experiment)
 from fracshape.solvers import (eigenpairs, restrict, solve_torsion,
                                torsion_resolvent_bound_check)
 
@@ -306,11 +305,26 @@ def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
                           reference)
 
 
+def _counted(monkeypatch, name):
+    """Record the arguments of every call to shapeopt's `name`."""
+    calls = []
+    fn = getattr(shapeopt, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(shapeopt, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
     # the walk-local memo: one eigensolve per distinct mask, on the
     # anneal-1d grid and functional (1D) and on 2D 16², while the walk
-    # still matches its reference
+    # still matches its reference; and no torsion solve, which only the
+    # dichotomy detector needs (at the parent the walk solved one per
+    # improvement snapshot)
     base = walk_bases[dim]
     spec = make_functional("l2", 2, "l2")
     c = WALK_CELLS[dim] * base.grid.cell_volume
@@ -325,9 +339,11 @@ def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
         return solve(a_mat, k)
 
     monkeypatch.setattr(shapeopt, "_lowest_eigh", counted)
+    torsions = _counted(monkeypatch, "solve_torsion")
     traj = minimize_shape(spec, base, c, WALK_MOVES, seed=11)
     assert _same_walk(traj, reference)
     assert len(calls) == len(evaluated) < WALK_MOVES + 1
+    assert len(traj.masks) > 10 and torsions == []
 
 
 @pytest.mark.parametrize("dim, resolution, volume_cells", [(1, 24, 8), (2, 8, 12)])
@@ -386,9 +402,7 @@ def base_512():
 
 def test_detect_dichotomy_on_receding_pair(base_512):
     g = base_512.grid
-    traj = trajectory_from_masks(
-        base_512, [_two_ball_mask(g, d) for d in (4, 8, 16, 32)])
-    rep = detect_dichotomy(traj, base_512)
+    rep = detect_dichotomy([_two_ball_mask(g, d) for d in (4, 8, 16, 32)], base_512)
     assert rep.verdict == "dichotomy"
     assert all(b > a for a, b in zip(rep.separations, rep.separations[1:]))
     for v1, v2 in rep.component_volumes:
@@ -399,24 +413,56 @@ def test_detect_dichotomy_on_receding_pair(base_512):
 def test_detect_compactness_on_constant_ball(base_512):
     g = base_512.grid
     ball = ball_mask(g, [0.0], 32 * g.cell_volume)
-    traj = trajectory_from_masks(base_512, [ball] * 4)
-    assert detect_dichotomy(traj, base_512).verdict == "compactness"
+    assert detect_dichotomy([ball] * 4, base_512).verdict == "compactness"
 
 
 def test_detect_compactness_is_translation_blind(base_512):
     g = base_512.grid
     ball = ball_mask(g, [0.0], 32 * g.cell_volume)
     balls = [mask_from_indices(g, ball.active_indices + k) for k in (0, 40, 80, 120)]
-    traj = trajectory_from_masks(base_512, balls)
-    assert detect_dichotomy(traj, base_512).verdict == "compactness"
+    assert detect_dichotomy(balls, base_512).verdict == "compactness"
 
 
 def test_detect_inconclusive_on_alternation(base_512):
     g = base_512.grid
     ball = ball_mask(g, [0.0], 32 * g.cell_volume)
     pair = _two_ball_mask(g, 16)
-    traj = trajectory_from_masks(base_512, [ball, pair] * 3)
-    assert detect_dichotomy(traj, base_512).verdict == "inconclusive"
+    assert detect_dichotomy([ball, pair] * 3, base_512).verdict == "inconclusive"
+
+
+def _debris_pair(g, d_cells):
+    # two 32-cell balls and one isolated cell: int(0.02 * 65) = 1 cell of
+    # debris is allowed, so the detector measures the gap to the pair
+    mask = _two_ball_mask(g, d_cells, cells_each=32)
+    cells = mask.cells.copy()
+    cells[2] = True
+    return DomainMask(g, cells)
+
+
+@pytest.mark.parametrize("case, verdict, unions", [
+    ("receding", "dichotomy", 0), ("ball", "compactness", 0),
+    ("alternation", "inconclusive", 0), ("debris", "inconclusive", 1)])
+def test_detect_dichotomy_work(base_512, monkeypatch, case, verdict, unions):
+    # each tail mask is restricted once, plus once per debris-free union;
+    # a dichotomy verdict solves no torsion, any other at most one per
+    # tail mask, each on the tail mask's own restriction
+    g = base_512.grid
+    ball = ball_mask(g, [0.0], 32 * g.cell_volume)
+    masks = {"receding": [_two_ball_mask(g, d) for d in (4, 8, 16, 32)],
+             "ball": [ball] * 4,
+             "alternation": [ball, _two_ball_mask(g, 16)] * 3,
+             "debris": [_debris_pair(g, d) for d in (4, 8, 16, 32)]}[case]
+    tail = masks[-max(2, len(masks) // 3):]
+    restricts = _counted(monkeypatch, "restrict")
+    torsions = _counted(monkeypatch, "solve_torsion")
+    assert detect_dichotomy(masks, base_512).verdict == verdict
+    assert len(restricts) == (1 + unions) * len(tail)
+    assert all(args[1] is mk for args, mk in zip(restricts, tail))
+    if verdict == "dichotomy":
+        assert torsions == []
+    else:
+        assert len(torsions) <= len(tail)
+        assert all(op.mask is mk for (op,), mk in zip(torsions, tail))
 
 
 def _label_oracle(mask):
