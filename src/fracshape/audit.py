@@ -271,12 +271,12 @@ def check_empty_set_conventions(solved, seed) -> CheckResult:
 
 def check_stiffness_symmetry(solved, seed) -> CheckResult:
     base = solved.base
-    a = base.matrix()
-    off = np.where(np.eye(len(a), dtype=bool), -np.inf, a)
-    slack = min(1e-14 * float(np.abs(a).max()) - float(np.abs(a - a.T).max()),
-                -float(off.max()), float(base.tail.min()))
+    k = base.stencil
+    scale = max(float(np.abs(k).max()), float(np.abs(base.diag).max()))
+    slack = min(1e-14 * scale - float(np.abs(k - np.flip(k)).max()),
+                -float(np.delete(k, k.size // 2).max()), float(base.tail.min()))
     return CheckResult("stiffness_symmetry", slack > 0, slack,
-                       "box matrix symmetric, off-diagonal < 0, tail > 0")
+                       "stencil K(z) = K(-z), off-centre < 0, tail > 0")
 
 
 ALL_CHECKS = [

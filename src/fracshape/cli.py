@@ -5,9 +5,9 @@ Every run writes its artifacts plus a manifest (config echo, versions, wall
 time, seed list, per-file sha256) into the output directory.  Identical
 configs produce byte-identical artifact files.
 
-Every subcommand except `grid` assembles the dense stiffness matrix, so its
-grid may have at most forms.MAX_DENSE_CELLS (4,096) cells; validation
-rejects a larger one before any work starts or any directory is created.
+Every subcommand except `grid` assembles the stiffness form, whose dense
+products are n x n, so its grid may have at most forms.MAX_DENSE_CELLS
+(4,096) cells; validation rejects a larger one before any work starts.
 """
 
 from __future__ import annotations

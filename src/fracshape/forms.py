@@ -11,7 +11,8 @@ extension outside the box.  Q counts each unordered cell pair once, i.e.
 it discretizes one half of the symmetric double integral; the Fourier-side
 evaluation below uses the same convention so the two routes agree.
 Q(u) = u^T A u for the box matrix A (A_ij = -k_ij, A_ii = sum_j k_ij +
-rho_i), stored once; every Dirichlet operator is a principal submatrix.
+rho_i), stored as its offset stencil and closed-form diagonal; every
+Dirichlet operator is a principal submatrix gathered from them.
 
 Face-adjacent couplings carry an extra factor 1 + c(s, dim) that restores
 the near-field energy the bare mid-point rule misses (the lattice sum
@@ -25,16 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .grid import Grid, GridFunction, lattice_points
+from .grid import Grid, GridFunction, lattice_points, row_blocks
 
-# Dense assembly budget.  Assembly peaks at two n x n float arrays
-# (tracemalloc: 16 MiB on a 2D 32^2 grid, 256 MiB at 64^2, this size) and
-# keeps one, A; the solvers' restricted copies and factors add a few more.
+# Box budget.  Assembly peaks at 3.0 MiB (tracemalloc, 2D 64^2, this size),
+# but the full-box product builds the dense n x n A (128 MiB), as a mask
+# covering most of the box does its restricted copies and factors.
 # cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
 MAX_DENSE_CELLS = 4096
 # The exterior-tail shell and the Fourier-side DFT lattice span PADDING
@@ -51,11 +52,6 @@ def _check_s(s: float) -> float:
     return float(s)
 
 
-def _check_dim(dim: int) -> None:
-    if dim not in (1, 2):
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
-
-
 def normalization_constant(s: float, dim: int) -> float:
     """C_{s,N} = (int (1 - cos zeta_1)/|zeta|^(N+2s) dzeta)^(-1), N = dim.
 
@@ -63,8 +59,7 @@ def normalization_constant(s: float, dim: int) -> float:
     (Di Nezza, Palatucci & Valdinoci, Hitchhiker's guide to the fractional
     Sobolev spaces, arXiv:1104.4345, section 3).
     """
-    s = _check_s(s)
-    _check_dim(dim)
+    s = float(FracParams(s, dim).s)
     return (s * 4.0 ** s * math.gamma(dim / 2.0 + s)
             / (math.pi ** (dim / 2.0) * math.gamma(1.0 - s)))
 
@@ -78,67 +73,61 @@ class FracParams:
 
     def __post_init__(self):
         _check_s(self.s)
-        _check_dim(self.dim)
+        if self.dim not in (1, 2):
+            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
 
 
 @dataclass(frozen=True)
 class StiffnessOperator:
-    """Symmetric positive-definite form of the discrete Gagliardo energy.
-
-    box_matrix is the read-only box matrix A (A_ij = -k_ij, A_ii = sum_j k_ij
-    + rho_i), a Stieltjes M-matrix; read it through matrix(), apply(), diag.
-    tail holds the strictly positive per-cell exterior weights rho_i.
+    """Symmetric positive-definite form A of the discrete Gagliardo energy,
+    a Stieltjes M-matrix.  A_ij = -k_ij depends only on the offset c_i - c_j:
+    `stencil` holds it at every offset of the box, shape (2r - 1)^dim for r
+    cells a side, 0 at the centre.  `diag` holds d_i = sum_j k_ij + rho_i.
     """
 
     grid: Grid
     params: FracParams
-    box_matrix: np.ndarray = field(repr=False)
-    tail: np.ndarray = field(repr=False)
+    stencil: np.ndarray = field(repr=False)
+    diag: np.ndarray = field(repr=False)
 
-    @property
-    def diag(self) -> np.ndarray:
-        """d_i = sum_j k_ij + rho_i (a read-only view)."""
-        return np.diagonal(self.box_matrix)
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """Each cell's flat index in the stencil's shape."""
+        return np.ravel_multi_index(self.grid.multi_index(np.arange(self.grid.n_cells)).T,
+                                    self.stencil.shape)
+
+    def couplings(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """A_ij off the diagonal for broadcast cell indices i, j; 0 where
+        i == j.  The offset c_i - c_j sits at code_i - code_j + centre."""
+        return self.stencil.take(self._codes[rows] + self.stencil.size // 2 - self._codes[cols])
+
+    def submatrix(self, cells: np.ndarray) -> np.ndarray:
+        """The principal submatrix of A on the flat cell indices `cells`."""
+        a = self.couplings(cells[:, None], cells)
+        a.flat[::cells.size + 1] = self.diag[cells]
+        return a
 
     def matrix(self) -> np.ndarray:
-        """The box matrix A itself: read-only; do not copy."""
-        return self.box_matrix
+        """The dense A, built on first call: read-only; do not copy."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        cells = np.arange(self.grid.n_cells)
+        a = np.empty((cells.size,) * 2)
+        for rows in row_blocks(cells.size, cells.size):
+            a[rows] = self.couplings(cells[rows, None], cells)
+        np.fill_diagonal(a, self.diag)
+        a.flags.writeable = False
+        return a
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.box_matrix @ u
+        return self.matrix() @ u
 
-
-def _exterior_tail(grid: Grid, s: float, row_sums: np.ndarray) -> np.ndarray:
-    """Exterior-tail weights rho_i (including the h^dim cell measure).
-
-    rho_i sums |c_i - p|^-(dim+2s) over the padded-shell points p (PADDING
-    box widths per axis, less the box) within R_i = pad_w - max|c_i|, plus
-    the analytic radial remainder beyond R_i.  The shell extends the box
-    lattice by whole cells, so p = c_i + z h for integer z, and the ball of
-    radius R_i >= 3w lies inside the padded lattice and holds the box
-    (diameter 2 sqrt(dim) w).  The shell sum is therefore exactly the lattice
-    sum S(R_i) = sum_{0 < |z| h <= R_i} |z h|^-(dim+2s) minus the raw box row
-    sum `row_sums` (sum_{j != i} k_ij before the face correction).  R_i / h
-    is a half-integer and |z| never is, so no offset ties with the boundary.
-    S is summed once per distinct R_i.  The subtraction leaves rho_i with
-    rounding of order eps * row_sums_i (2.5e-12 relative at 1D 128 cells,
-    s = 0.9); the diagonal row_sums_i + rho_i stays exact to rounding.
-    """
-    h = grid.h
-    dim = grid.dim
-    n = grid.resolution
-    extra = (PADDING - 1) * n // 2
-    # R_i / h: pad_w / h = n/2 + extra, |c_i| / h = |k + 1/2 - n/2| per axis
-    multi = grid.multi_index(np.arange(grid.n_cells))
-    r = n / 2 + extra - np.max(np.abs(multi + 0.5 - n / 2), axis=1)
-    radii, ring = np.unique(r, return_inverse=True)
-    z = lattice_points(np.arange(-int(radii[-1]), int(radii[-1]) + 1), dim)
-    q = np.sum(z * z, axis=1)
-    q = q[q > 0].astype(float)
-    terms = q ** (-(dim + 2.0 * s) / 2.0)
-    lattice = np.array([terms[q <= radius * radius].sum() for radius in radii])
-    far = _SPHERE_MEASURE[dim] * (h * r) ** (-2.0 * s) / (2.0 * s)
-    return h ** (dim - 2.0 * s) * lattice[ring] - row_sums + h ** dim * far
+    @cached_property
+    def tail(self) -> np.ndarray:
+        """The per-cell exterior weights rho = A 1, strictly positive."""
+        return self.apply(np.ones(self.grid.n_cells))
 
 
 @lru_cache(maxsize=None)
@@ -156,40 +145,49 @@ def adjacent_correction_factor(s: float, dim: int) -> float:
 
 
 def assemble_stiffness(grid: Grid, s: float) -> StiffnessOperator:
-    """Assemble the discrete Gagliardo form on the full grid."""
+    """Assemble the discrete Gagliardo form on the full grid.
+
+    The stencil is -k(z) = -h^(dim-2s) |z|^-(dim+2s) at each whole-cell
+    offset z of the box, faces weighted f = adjacent_correction_factor, and
+    d_i = h^(dim-2s) (S(R_i) + 2 dim (f - 1)) + h^dim sigma (h R_i)^-2s / (2s).
+    d_i sums k_ij over the box and the exterior tail rho_i: k over the
+    padded shell (PADDING box widths per axis) within R_i = pad_w - max|c_i|
+    plus the radial remainder beyond R_i.  The shell extends the lattice by
+    whole cells and the ball of radius R_i >= 3w holds the box, so box and
+    shell are every offset z in the ball, S(R_i) = sum_{0 < |z| h <= R_i}
+    |z|^-(dim+2s), with the 2 dim face neighbours weighted f.  R_i / h is a
+    half-integer, so no offset ties with the boundary.  S is summed once
+    per distinct R_i, over the same |z|^-(dim+2s) the stencil holds.
+    """
     s = _check_s(s)
-    m = grid.n_cells
-    if m > MAX_DENSE_CELLS:
-        raise BudgetError(
-            f"grid has {m} cells, over the dense-assembly budget of {MAX_DENSE_CELLS}"
-        )
-    # squared lattice offsets, one axis at a time: |c_i - c_j|^2 = h^2 d2_ij
-    multi = grid.multi_index(np.arange(m))
-    d2 = np.zeros((m, m))
-    step = np.empty((m, m))
-    for x in multi.T.astype(float):
-        np.subtract.outer(x, x, out=step)
-        d2 += np.square(step, out=step)
-    del step
-    face = d2 == 1.0
-    np.fill_diagonal(d2, 1.0)  # placeholder; diagonal is zeroed below
-    # k_ij = h^(2 dim) |c_i - c_j|^-(dim+2s), computed in place of d2
-    k = np.power(d2, -(grid.dim + 2.0 * s) / 2.0, out=d2)
-    k *= grid.h ** (grid.dim - 2.0 * s)
-    np.fill_diagonal(k, 0.0)
-    rho = _exterior_tail(grid, s, k.sum(axis=1))
-    factor = adjacent_correction_factor(s, grid.dim)
-    k[face] *= factor
-    # box-edge cells have face neighbors in the exterior tail; correct
-    # those couplings too, else the diagonal loses translation invariance
-    boundary_faces = ((multi == 0) | (multi == grid.resolution - 1)).sum(axis=1)
-    rho = rho + (factor - 1.0) * grid.h ** (grid.dim - 2.0 * s) * boundary_faces
-    # finish A = diag(sum_j k_ij + rho_i) - k in place of k
-    d = k.sum(axis=1) + rho
-    np.fill_diagonal(np.negative(k, out=k), d)
-    k.flags.writeable = False
-    return StiffnessOperator(grid=grid, params=FracParams(s, grid.dim),
-                             box_matrix=k, tail=rho)
+    if grid.n_cells > MAX_DENSE_CELLS:
+        raise BudgetError(f"grid has {grid.n_cells} cells, over the dense-assembly "
+                          f"budget of {MAX_DENSE_CELLS}")
+    h, dim, n = grid.h, grid.dim, grid.resolution
+    extra = (PADDING - 1) * n // 2
+    # R_i / h: pad_w / h = n/2 + extra, |c_i| / h = |k + 1/2 - n/2| per axis
+    multi = grid.multi_index(np.arange(grid.n_cells))
+    r = n / 2 + extra - np.max(np.abs(multi + 0.5 - n / 2), axis=1)
+    radii, ring = np.unique(r, return_inverse=True)
+    top = int(radii[-1])
+    # |z|^-(dim+2s) at every offset z with |z_a| <= top, and 0 at z = 0
+    z = lattice_points(np.arange(-top, top + 1), dim)
+    q = np.sum(z * z, axis=1).astype(float)
+    q[q.size // 2] = np.inf
+    terms = q ** (-(dim + 2.0 * s) / 2.0)
+    lattice = np.array([terms[q <= radius * radius].sum() for radius in radii])
+    factor = adjacent_correction_factor(s, dim)
+    far = _SPHERE_MEASURE[dim] * (h * r) ** (-2.0 * s) / (2.0 * s)
+    diag = (h ** (dim - 2.0 * s) * (lattice[ring] + 2 * dim * (factor - 1.0))
+            + h ** dim * far)
+    # the box's offsets, |z_a| < n, are the central cube of the lattice
+    cube, box = (2 * top + 1,) * dim, (slice(top + 1 - n, top + n),) * dim
+    k = terms.reshape(cube)[box] * h ** (dim - 2.0 * s)
+    k[q.reshape(cube)[box] == 1.0] *= factor
+    stencil = np.negative(k, out=k)
+    stencil.flat[stencil.size // 2] = 0.0
+    stencil.flags.writeable = diag.flags.writeable = False
+    return StiffnessOperator(grid=grid, params=FracParams(s, dim), stencil=stencil, diag=diag)
 
 
 def _check_same_grid(op: StiffnessOperator, u: GridFunction) -> None:

@@ -21,7 +21,7 @@ MAX_CELLS = 16384
 # {0.1, 0.5, 0.9}; 2D overflows at 1e80, and at 1e-200 a solve fails or
 # divides by zero.
 MIN_HALF_WIDTH, MAX_HALF_WIDTH = 1e-6, 1e6
-# point pairs per block of `min_pair_distance`
+# entries of one block of `row_blocks`
 _PAIR_CHUNK = 1 << 16
 
 
@@ -81,6 +81,12 @@ def distances_from(grid: Grid, center) -> np.ndarray:
     return np.sqrt(((grid.cell_centers - center) ** 2).sum(axis=1))
 
 
+def row_blocks(n_rows: int, n_cols: int):
+    """Slices of at most _PAIR_CHUNK / n_cols rows covering n_rows rows."""
+    step = max(1, _PAIR_CHUNK // n_cols)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
 def min_pair_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Smallest Euclidean distance between a point of p (m, dim) and one of
     q (n, dim).
@@ -93,10 +99,9 @@ def min_pair_distance(p: np.ndarray, q: np.ndarray) -> float:
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if not (len(p) and len(q)):
         raise ParameterError("min_pair_distance needs two nonempty point sets")
-    rows = max(1, _PAIR_CHUNK // len(q))
     best = np.inf
-    for start in range(0, len(p), rows):
-        block = p[start:start + rows]
+    for rows in row_blocks(len(p), len(q)):
+        block = p[rows]
         sq = np.zeros((len(block), len(q)))
         for axis in range(p.shape[1]):
             d = block[:, axis, None] - q[None, :, axis]

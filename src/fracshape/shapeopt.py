@@ -241,7 +241,7 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     only on accepted moves, since a rejected move restores the state.  A
     mask is solved once per walk: J is memoized on the mask's packed bits,
     in a dict dropped when the walk returns.  A new mask's matrix is one
-    gather of the box matrix on the sorted active cells, and its
+    gather of A's couplings on the sorted active cells, and its
     eigenvalues come from `solvers._lowest_eigh`, the LAPACK call and
     residual check that `eigenpairs` makes on a mask no axis reflection of
     the box maps onto itself.  A mask that one does is valued by
@@ -264,7 +264,6 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     rng = np.random.default_rng(seed)
     cells = np.zeros(grid.n_cells, dtype=bool)
     cells[rng.choice(grid.n_cells, m, replace=False)] = True
-    box = base.matrix()
     h_meas = grid.cell_volume
     kk = min(spec.k, m)
     beyond = np.full(spec.k - kk, np.inf)   # lambda_j = +inf for j > m
@@ -278,7 +277,7 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
             value = memo[key] = eval_functional(spec, base, DomainMask(grid, cells.copy()))
         elif value is None:
             a = np.flatnonzero(cells)
-            mu = _lowest_eigh(box[a[:, None], a], kk)[0]
+            mu = _lowest_eigh(base.submatrix(a), kk)[0]
             value = memo[key] = float(_eval_node(
                 spec._tree.body, np.concatenate([mu / h_meas, beyond])))
         return value
@@ -380,19 +379,24 @@ def connected_components(mask: DomainMask) -> list:
                                            sizes[rank].tolist())]
 
 
-def _component_gap(centers: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return min_pair_distance(centers[a], centers[b])
-
-
 def _two_clusters(centers: np.ndarray, comps: list):
-    """Single-linkage agglomeration of components down to two clusters."""
+    """Single-linkage agglomeration of components down to two clusters, and
+    the gap between them.  Each component gap is measured once; a merge
+    takes the two rows' minimum (the single-linkage update), and the first
+    minimum in row-major order is the first closest pair i < j."""
     clusters = list(comps)
+    gaps = np.full((len(clusters),) * 2, np.inf)
+    for i, j in itertools.combinations(range(len(clusters)), 2):
+        gaps[i, j] = gaps[j, i] = min_pair_distance(centers[clusters[i]],
+                                                    centers[clusters[j]])
     while len(clusters) > 2:
-        i, j = min(itertools.combinations(range(len(clusters)), 2),
-                   key=lambda ij: _component_gap(centers, clusters[ij[0]], clusters[ij[1]]))
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         clusters[i] = np.concatenate([clusters[i], clusters[j]])
         del clusters[j]
-    return [np.sort(c) for c in clusters]
+        gaps[i] = gaps[:, i] = np.minimum(gaps[i], gaps[j])
+        gaps[i, i] = np.inf
+        gaps = np.delete(np.delete(gaps, j, axis=0), j, axis=1)
+    return [np.sort(c) for c in clusters], float(gaps[0, 1])
 
 
 def _analyze_mask(op: DirichletOperator, centers: np.ndarray):
@@ -409,14 +413,10 @@ def _analyze_mask(op: DirichletOperator, centers: np.ndarray):
     dropped = mask.n_active - sum(c.size for c in main)
     if dropped > debris_cells or len(main) < 2:
         return None
-    clusters = _two_clusters(centers, main)
-    sep = _component_gap(centers, clusters[0], clusters[1])
+    clusters, sep = _two_clusters(centers, main)
     vols = (grid.cell_volume * clusters[0].size, grid.cell_volume * clusters[1].size)
-    if dropped > 0:
-        kept = mask_from_indices(grid, np.concatenate(clusters))
-        gap = resolvent_norm_diff(op, restrict(op.base, kept))
-    else:
-        gap = 0.0
+    gap = 0.0 if dropped == 0 else resolvent_norm_diff(
+        op, restrict(op.base, mask_from_indices(grid, np.concatenate(clusters))))
     return sep, vols, gap
 
 

@@ -1,9 +1,10 @@
 """Dirichlet-restricted operators and their solvers.
 
-Restricting the stiffness form to a cell mask is one gather: the principal
-submatrix of the box matrix A on the active cells.  Couplings to inactive
-cells already sit in A's diagonal (they contribute k_ij u_i^2 because
-u_j = 0 there), so the restriction is always strictly positive definite.
+Restricting the stiffness form to a cell mask is one gather from A's
+stencil and diagonal: its principal submatrix on the active cells.
+Couplings to inactive cells already sit in A's diagonal (they contribute
+k_ij u_i^2 because u_j = 0 there), so the restriction is always strictly
+positive definite.
 
 Everything here is dense LAPACK on the restricted matrix, called directly
 rather than through scipy's `cho_factor`/`cho_solve`/`eigvalsh` wrappers,
@@ -16,16 +17,16 @@ results are the same to the bit.  LAPACK does not check for NaN; every
 result is checked against a residual tolerance instead, which a NaN fails.
 
 A mask that some axis reflections of the box map onto itself is solved one
-parity block at a time.  The box matrix depends only on integer cell
-offsets, so it commutes with those reflections, and in the basis of signed
-orbit sums the restricted matrix splits into 2^p blocks for p symmetric
-axes (the symmetry-adapted basis; Bossavit, Comput. Methods Appl. Mech.
-Engrg. 56, 1986).  `eigenpairs` solves every block and merges the pairs; a
-linear solve solves the blocks its right-hand side has a component in, so
+parity block at a time.  A's couplings depend only on cell offsets and its
+diagonal is even under every reflection of the box, so A commutes with
+those reflections, and in the basis of signed orbit sums the restricted
+matrix splits into 2^p blocks for p symmetric axes (the symmetry-adapted
+basis; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
+`eigenpairs` solves every block and merges the pairs; a linear solve
+solves the blocks its right-hand side has a component in, so
 `solve_torsion`, whose right-hand side is constant, solves only the
 all-even block.  Every answer is still checked against the whole
-restricted operator.  An asymmetric mask takes the direct path above, so
-its results are unchanged to the bit.
+restricted operator.  An asymmetric mask takes the direct path above.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator
-from .grid import DomainMask, GridFunction, l2_distance
+from .grid import DomainMask, GridFunction, l2_distance, row_blocks
 
 SOLVE_RTOL = 1e-10
 EIG_RTOL = 1e-8
@@ -62,11 +63,6 @@ class _ParityBlock:
     signs: tuple            # chi(g) for each g in G, +1 or -1
     orbits: np.ndarray      # (|G|, m) active-cell positions of g c
     sizes: np.ndarray       # orbit sizes |G c|, as floats
-
-    @property
-    def stabilizers(self) -> np.ndarray:
-        """|S_c| = |G| / |G c|."""
-        return len(self.signs) / self.sizes
 
     def signed_sum(self, take) -> np.ndarray:
         """sum_g chi(g) take(orbits[g]), for a `take` that returns a new array."""
@@ -176,8 +172,7 @@ class DirichletOperator:
 
     @cached_property
     def _matrix(self) -> np.ndarray:
-        a = self.active_index
-        m = self.base.matrix()[a[:, None], a]
+        m = self.base.submatrix(self.active_index)
         m.flags.writeable = False
         return m
 
@@ -198,15 +193,15 @@ class DirichletOperator:
         return {}
 
     def _block(self, blk: _ParityBlock) -> np.ndarray:
-        """The block's matrix, gathered from the box matrix A.
-
-        Entry (c, c') is sum_g chi(g) A[c, g c'] / sqrt(|S_c| |S_c'|): a
-        signed sum of |G| gathers on the representatives.
-        """
-        box, act = self.base.matrix(), self.active_index
-        rows = act[blk.orbits[0]][:, None]
-        out = blk.signed_sum(lambda cols: box[rows, act[cols]])
-        out /= np.sqrt(np.outer(blk.stabilizers, blk.stabilizers))
+        """The block's matrix: entry (c, c') is sum_g chi(g) A[c, g c'] /
+        sqrt(|S_c| |S_c'|), a signed sum of |G| coupling gathers on the
+        representatives, plus d_c on the diagonal, which only the |S_c|
+        stabilizer terms (chi = 1) reach."""
+        base, act = self.base, self.active_index
+        rows, stab = act[blk.orbits[0]], len(blk.signs) / blk.sizes   # |S_c| = |G| / |G c|
+        out = blk.signed_sum(lambda cols: base.couplings(rows[:, None], act[cols]))
+        out /= np.sqrt(np.outer(stab, stab))
+        out.flat[::rows.size + 1] += base.diag[rows]
         return out
 
     def matrix(self) -> np.ndarray:
@@ -215,13 +210,15 @@ class DirichletOperator:
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A x for active-cell values x (a vector or columns).  On a
-        symmetric mask this goes through the box matrix, so that the
-        restricted matrix is never gathered."""
+        symmetric mask the couplings are gathered a block of rows at a
+        time, so that the restricted matrix is never held whole."""
         if not self._mirror_axes:
             return self._matrix @ x
-        full = np.zeros((self.grid.n_cells,) + x.shape[1:])
-        full[self.active_index] = x
-        return (self.base.matrix() @ full)[self.active_index]
+        act = self.active_index
+        out = self.base.diag[act].reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        for rows in row_blocks(act.size, act.size):
+            out[rows] += self.base.couplings(act[rows, None], act) @ x
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct solve on active cells via cached Cholesky factors: the

@@ -151,12 +151,16 @@ def test_run_audit_passes(tmp_path):
     assert all(line.split(",")[2] == "1" for line in lines)
 
 
+def _with_stencil(base, stencil):
+    return StiffnessOperator(base.grid, base.params, stencil, base.diag)
+
+
 def test_audit_negative_control():
-    # corrupt the box matrix and confirm the symmetry check names it
+    # corrupt one offset of the stencil and confirm the symmetry check names it
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
-    a = base.matrix().copy()
-    a[3, 9] *= 2.0
-    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
+    k = base.stencil.copy()
+    k[63 - 6] *= 2.0     # offset -6; offset +6 is unchanged
+    broken = _with_stencil(base, k)
     result = check_stiffness_symmetry(_Solved(broken), 0)
     assert result.name == "stiffness_symmetry"
     assert not result.passed
@@ -167,9 +171,9 @@ def test_audit_sign_negative_control():
     # a symmetric pair of positive off-diagonal entries breaks the M-matrix
     # sign pattern without breaking symmetry
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
-    a = base.matrix().copy()
-    a[3, 9] = a[9, 3] = -a[3, 9]
-    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
+    k = base.stencil.copy()
+    k[63 - 6] = k[63 + 6] = -k[63 - 6]
+    broken = _with_stencil(base, k)
     result = check_stiffness_symmetry(_Solved(broken), 0)
     assert not result.passed
     assert result.worst_slack < 0
@@ -180,10 +184,11 @@ def test_audit_symmetry_passed_follows_slack(rel):
     # a small 2D box at small s has every entry of A below 1; the verdict
     # and the slack must still agree on either side of the threshold
     base = assemble_stiffness(build_grid(2, 0.5, 8), 0.1)
-    a = base.matrix().copy()
-    assert np.abs(a).max() < 1.0
-    a[3, 9] += rel * np.abs(a).max()
-    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
+    k = base.stencil.copy()
+    scale = max(np.abs(k).max(), np.abs(base.diag).max())
+    assert scale < 1.0
+    k[3, 9] += rel * scale
+    broken = _with_stencil(base, k)
     result = check_stiffness_symmetry(_Solved(broken), 0)
     assert result.passed == (rel < 1e-14)
     assert result.passed == (result.worst_slack > 0)
@@ -278,9 +283,9 @@ def test_audit_duality_negative_control(monkeypatch):
 
 def test_audit_cli_exit_3_on_failure(tmp_path, monkeypatch):
     base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
-    a = base.matrix().copy()
-    a[3, 9] *= 2.0
-    broken = StiffnessOperator(base.grid, base.params, a, base.tail)
+    k = base.stencil.copy()
+    k[63 - 6] *= 2.0
+    broken = _with_stencil(base, k)
 
     def fake_assemble(grid, s, **kw):
         return broken
@@ -692,7 +697,8 @@ def test_select_checks_keeps_suite_order():
 
 # the scipy subpackages that fracshape does not use; importing any of them
 # costs start-up time in every CLI process
-HEAVY_SCIPY = ("scipy.ndimage", "scipy.spatial", "scipy.special", "scipy.sparse")
+HEAVY_SCIPY = ("scipy.ndimage", "scipy.spatial", "scipy.special", "scipy.sparse",
+               "scipy.fft", "scipy.signal")
 _IMPORT_PROBE = """
 import sys
 {before}

@@ -11,9 +11,8 @@ from scipy import integrate, special
 from scipy.spatial.distance import cdist
 
 from fracshape.errors import BudgetError, NumericError, ParameterError
-from fracshape.forms import (PADDING, FracParams, _exterior_tail,
-                             adjacent_correction_factor, assemble_stiffness,
-                             fourier_seminorm_sq, gagliardo_sq,
+from fracshape.forms import (PADDING, FracParams, adjacent_correction_factor,
+                             assemble_stiffness, fourier_seminorm_sq, gagliardo_sq,
                              normalization_constant, weighted_gagliardo_sq)
 from fracshape.grid import GridFunction, build_grid, full_mask, lattice_points
 from fracshape.solvers import eigenpairs, restrict
@@ -217,23 +216,26 @@ def raw_row_sums(grid, s):
     return grid.h ** (grid.dim - 2.0 * s) * (d ** (-(grid.dim + 2.0 * s))).sum(axis=1)
 
 
-def tail_error(grid, s, oracle):
-    rho = _exterior_tail(grid, s, raw_row_sums(grid, s))
-    return np.max(np.abs(rho - oracle) / oracle)
+def diag_error(grid, s, tail):
+    """Relative error of the closed-form diagonal against the raw row sums,
+    the 2 dim face corrections and the exterior tail `tail`."""
+    faces = 2 * grid.dim * (adjacent_correction_factor(s, grid.dim) - 1.0)
+    expected = raw_row_sums(grid, s) + faces * grid.h ** (grid.dim - 2.0 * s) + tail
+    return np.max(np.abs(assemble_stiffness(grid, s).diag - expected) / expected)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("dim,resolution", [(1, 63), (1, 64), (2, 15), (2, 16)])
 def test_exterior_tail_matches_shell_quadrature(dim, resolution, s):
     g = build_grid(dim, 4.0, resolution)
-    assert tail_error(g, s, shell_quadrature_tail(g, s)) < TAIL_RTOL
+    assert diag_error(g, s, shell_quadrature_tail(g, s)) < TAIL_RTOL
 
 
 @pytest.mark.parametrize("dim,resolution", [(1, 63), (2, 15)])
 def test_exterior_tail_oracle_negative_control(dim, resolution):
     # a shell half a cell off the box lattice must fail the comparison
     g = build_grid(dim, 4.0, resolution)
-    assert tail_error(g, 0.5, shell_quadrature_tail(g, 0.5, shift=0.5)) > TAIL_RTOL
+    assert diag_error(g, 0.5, shell_quadrature_tail(g, 0.5, shift=0.5)) > TAIL_RTOL
 
 
 def test_assembly_peak_memory():
@@ -347,17 +349,32 @@ def test_stiffness_symmetry_and_signs():
         assert np.abs(a.sum(axis=0) - op.tail).max() <= rounding
 
 
-def test_box_matrix_is_stored_once_and_read_only():
-    g = build_grid(2, 4.0, 32)
-    op = assemble_stiffness(g, 0.5)
+def traced_peak(fn):
     tracemalloc.start()
     try:
-        a = op.matrix()
-        _, peak = tracemalloc.get_traced_memory()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.01 * a.nbytes
-    assert a is op.matrix()
+
+
+def test_assembly_holds_no_box_matrix():
+    # the stencil, the diagonal and the lattice sum stay far below one
+    # n x n float64 matrix
+    g = build_grid(2, 4.0, 64)
+    assemble_stiffness(build_grid(2, 4.0, 8), 0.5)  # warm the cached constants
+    _, peak = traced_peak(lambda: assemble_stiffness(g, 0.5))
+    assert peak < 0.05 * 8 * g.n_cells ** 2
+
+
+def test_box_matrix_is_built_once_and_read_only():
+    g = build_grid(2, 4.0, 32)
+    op = assemble_stiffness(g, 0.5)
+    a, first = traced_peak(op.matrix)
+    assert first < 1.25 * a.nbytes   # the matrix and one row block
+    b, again = traced_peak(op.matrix)
+    assert again < 0.01 * a.nbytes
+    assert a is b
     with pytest.raises(ValueError):
         a[0, 1] = 0.0
     sub = restrict(op, full_mask(g)).matrix()

@@ -8,7 +8,7 @@ from fracshape import shapeopt, solvers
 from fracshape.errors import NumericError, ParameterError
 from fracshape.forms import assemble_stiffness
 from fracshape.grid import (DomainMask, GridFunction, build_grid, empty_mask,
-                            full_mask, mask_from_indices)
+                            full_mask, mask_from_indices, min_pair_distance)
 from fracshape.shapeopt import (AnnealingSchedule, ball_mask,
                                 connected_components, detect_dichotomy,
                                 eval_functional, make_functional,
@@ -463,6 +463,40 @@ def test_detect_dichotomy_work(base_512, monkeypatch, case, verdict, unions):
     else:
         assert len(torsions) <= len(tail)
         assert all(op.mask is mk for (op,), mk in zip(torsions, tail))
+
+
+def _rescan_clusters(centers, comps):
+    """Single linkage as a rescan of every cluster pair after each merge,
+    and the gap between the last two clusters."""
+    def gap(a, b):
+        return min_pair_distance(centers[a], centers[b])
+
+    clusters = list(comps)
+    while len(clusters) > 2:
+        i, j = min(itertools.combinations(range(len(clusters)), 2),
+                   key=lambda ij: gap(clusters[ij[0]], clusters[ij[1]]))
+        clusters[i] = np.concatenate([clusters[i], clusters[j]])
+        del clusters[j]
+    return [np.sort(c) for c in clusters], gap(*clusters)
+
+
+@pytest.mark.parametrize("dim,res", [(1, 64), (2, 16)])
+def test_two_clusters_measures_each_pair_once(monkeypatch, dim, res):
+    # random masks of many components, with tied gaps on the lattice: the
+    # gap-matrix merge picks the rescan's clusters and separation, and
+    # measures each component pair once
+    g = build_grid(dim, 4.0, res)
+    rng = np.random.default_rng(11)
+    calls = _counted(monkeypatch, "min_pair_distance")
+    for density in (0.1, 0.2, 0.3):
+        comps = connected_components(DomainMask(g, rng.random(g.n_cells) < density))
+        assert len(comps) >= 3
+        calls.clear()
+        clusters, sep = shapeopt._two_clusters(g.cell_centers, comps)
+        assert len(calls) == len(comps) * (len(comps) - 1) // 2
+        expected, expected_sep = _rescan_clusters(g.cell_centers, comps)
+        assert sep == expected_sep
+        assert all(np.array_equal(a, b) for a, b in zip(clusters, expected, strict=True))
 
 
 def _label_oracle(mask):

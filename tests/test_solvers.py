@@ -185,10 +185,11 @@ def test_symmetric_eigenfunction_sign_is_stable():
     # lambda_4 on the full square is odd in both axes; its four extremal
     # cells form one orbit, equal in modulus to the bit on the parity
     # blocks, so the sign of the written eigenfunction survives a
-    # rounding-level change of the box matrix
+    # rounding-level change of the stencil and diagonal
     g = build_grid(2, 4.0, 32)
     base = assemble_stiffness(g, 0.5)
-    scaled = replace(base, box_matrix=base.box_matrix * (1 + 1e-14))
+    scaled = replace(base, stencil=base.stencil * (1 + 1e-14),
+                     diag=base.diag * (1 + 1e-14))
     orbit = np.ravel_multi_index(([7, 7, 24, 24], [7, 24, 7, 24]), g.shape)
     ops = [restrict(b, full_mask(g)) for b in (base, scaled)]
     efs = [eigenpairs(op, 4).eigenfunctions[3].values for op in ops]
@@ -301,9 +302,9 @@ def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
 
 
 def test_cholesky_rejects_indefinite_matrix(base_64):
-    a = base_64.matrix().copy()
-    a[30, 30] = -1.0
-    broken = StiffnessOperator(base_64.grid, base_64.params, a, base_64.tail)
+    d = base_64.diag.copy()
+    d[30] = -1.0
+    broken = StiffnessOperator(base_64.grid, base_64.params, base_64.stencil, d)
     op = restrict(broken, mask_from_indices(base_64.grid, range(25, 35)))
     with pytest.raises(NumericError, match="dpotrf"):
         op._cho
