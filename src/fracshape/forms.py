@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BudgetError, ParameterError, StructuralError
 from .grid import Grid, GridFunction, lattice_points, row_blocks
 
-# Box budget.  Assembly peaks at 3.0 MiB (tracemalloc, 2D 64^2, this size),
+# Box budget.  Assembly peaks at 2.6 MiB (tracemalloc, 2D 64^2, this size),
 # but the full-box product builds the dense n x n A (128 MiB), as a mask
 # covering most of the box does its restricted copies and factors.
 # cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
