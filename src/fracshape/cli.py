@@ -242,9 +242,9 @@ def validate_config(kind: str, config) -> dict:
 def _run_grid(config, out, seeds):
     grid = config["grid"]
     write_json(out / "grid.json", grid_to_json(grid))
-    rows = [(i,) + tuple(c) for i, c in enumerate(grid.cell_centers)]
     header = ["cell_index"] + [f"x{a}" for a in range(grid.dim)]
-    write_csv(out / "centers.csv", header, rows)
+    write_csv(out / "centers.csv", header,
+              [np.arange(grid.n_cells), *grid.cell_centers.T])
     return [out / "grid.json", out / "centers.csv"]
 
 
@@ -258,7 +258,7 @@ def _run_eig(config, out, seeds):
     files = [out / "spectrum.json"]
     for j, ef in enumerate(spec.eigenfunctions, start=1):
         path = out / f"eigenfunction_{j}.csv"
-        write_csv(path, ["cell_index", "value"], list(enumerate(ef.values)))
+        write_csv(path, ["cell_index", "value"], [np.arange(ef.values.size), ef.values])
         files.append(path)
     return files
 
@@ -269,7 +269,7 @@ def _run_torsion(config, out, seeds):
     write_json(out / "torsion.json", {"residual": tor.residual,
                                       "mask": mask_to_json(mask)})
     write_csv(out / "torsion.csv", ["cell_index", "value"],
-              list(enumerate(tor.values.values)))
+              [np.arange(tor.values.values.size), tor.values.values])
     return [out / "torsion.json", out / "torsion.csv"]
 
 
@@ -279,7 +279,7 @@ def _run_two_ball(config, out, seeds):
         grid, config["s"], config["total_volume_cells"] * grid.cell_volume,
         [d * grid.h for d in config["distances_cells"]])
     header = ["d", "lambda1_union", "lambda2_union", "lambda1_half_ball", "gap"]
-    write_csv(out / "table.csv", header, [[r[k] for k in header] for r in rows])
+    write_csv(out / "table.csv", header, [[r[k] for r in rows] for k in header])
     return [out / "table.csv"]
 
 
@@ -339,7 +339,7 @@ def _run_lieb(config, out, seeds):
                          res.bound, int(res.satisfied)])
     write_csv(out / "results.csv",
               ["seed", "trial", "z0", "lambda1_intersection", "bound", "satisfied"],
-              rows)
+              list(zip(*rows)))
     write_json(out / "summary.json", {"trials": len(rows),
                                       "satisfied": int(sum(r[5] for r in rows))})
     return [out / "results.csv", out / "summary.json"]
@@ -352,7 +352,7 @@ def _run_audit(config, out, seeds):
         for r in audit_mod.bounds_audit(base, seed, config["checks"]):
             results.append([seed, r.name, int(r.passed), r.worst_slack])
     write_csv(out / "audit.csv", ["seed", "check", "passed", "worst_slack"],
-              results)
+              list(zip(*results)))
     all_passed = all(r[2] for r in results)
     write_json(out / "summary.json", {"all_passed": all_passed,
                                       "n_checks": len(results)})

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainEmptyError, NumericError, ParameterError, StructuralError
 from .forms import StiffnessOperator, gagliardo_sq, weighted_gagliardo_sq
 from .grid import (MAX_CELLS, DomainMask, Grid, GridFunction, build_grid,
-                   distances_from, mask_from_indices, min_pair_distance)
+                   distances_from, mask_from_indices, min_pair_distance, row_blocks)
 from .solvers import eigenpairs, restrict
 
 PLATEAU_SLOPE = 0.02    # relative slope threshold for plateau rungs
@@ -81,12 +81,12 @@ def _ball_masses(grid: Grid, u: GridFunction, radii) -> np.ndarray:
         return np.array([prefix[np.searchsorted(x, x + r, side="right")]
                          - prefix[np.searchsorted(x, x - r, side="left")]
                          for r in radii])
-    out = np.empty((len(radii), centers.shape[0]))
-    for start in range(0, centers.shape[0], 512):
-        block = centers[start:start + 512]
-        d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    n = centers.shape[0]
+    out = np.empty((len(radii), n))
+    for rows in row_blocks(n, n):
+        d2 = ((centers[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         for j, r in enumerate(radii):
-            out[j, start:start + 512] = (d2 <= r * r) @ density
+            out[j, rows] = (d2 <= r * r) @ density
     return out
 
 

@@ -21,8 +21,9 @@ MAX_CELLS = 16384
 # {0.1, 0.5, 0.9}; 2D overflows at 1e80, and at 1e-200 a solve fails or
 # divides by zero.
 MIN_HALF_WIDTH, MAX_HALF_WIDTH = 1e-6, 1e6
-# entries of one block of `row_blocks`
-_PAIR_CHUNK = 1 << 16
+# entries of one block of `row_blocks`, which sizes every row-blocked pass:
+# pair distances, stiffness gathers and ball masses
+_ROW_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ def distances_from(grid: Grid, center) -> np.ndarray:
 
 
 def row_blocks(n_rows: int, n_cols: int):
-    """Slices of at most _PAIR_CHUNK / n_cols rows covering n_rows rows."""
-    step = max(1, _PAIR_CHUNK // n_cols)
+    """Slices of at most _ROW_BLOCK_ENTRIES / n_cols rows covering n_rows rows."""
+    step = max(1, _ROW_BLOCK_ENTRIES // n_cols)
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 

@@ -17,10 +17,25 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(path: Path, header: list, columns: list) -> None:
+    """Write one column per header field, all of one length.
+
+    The bytes are `fmt`'s on every value.  A float64 or integer array is
+    formatted at once, by one "%.17g" or `str` map over the Python numbers
+    of its `tolist()`, which print as its numpy scalars do; any other
+    column goes through `fmt` value by value.
+    """
+    import numpy as np
+
+    cells = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            cells.append(map("%.17g".__mod__, col.tolist()))
+        elif isinstance(col, np.ndarray) and col.dtype.kind in "biu":
+            cells.append(map(str, col.tolist()))
+        else:
+            cells.append(map(fmt, col))
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -32,7 +47,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
     return obj

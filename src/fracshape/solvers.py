@@ -25,8 +25,20 @@ basis; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
 `eigenpairs` solves every block and merges the pairs; a linear solve
 solves the blocks its right-hand side has a component in, so
 `solve_torsion`, whose right-hand side is constant, solves only the
-all-even block.  Every answer is still checked against the whole
-restricted operator.  An asymmetric mask takes the direct path above.
+all-even block.
+
+A 2D mask symmetric in both axes that is also its own transpose is solved
+under the square's full symmetry group, the dihedral group of order 8: A
+commutes with the transpose too, since its couplings depend on |offset|
+and its diagonal on the cell's distance to the box.  The all-even and
+all-odd blocks split into transpose-even and transpose-odd halves (cells
+on the diagonal go in the even half only).  The transpose maps the
+odd-x/even-y block onto the even-x/odd-y one, so only the first is solved
+and its pairs are copied to the second with the vectors transposed, which
+makes the square's degenerate pairs equal to the bit.  The torsion solves
+only the fully symmetric half.  Every answer is still checked against the
+whole restricted operator.  An asymmetric mask, and a mask symmetric under
+the transpose alone, takes the direct path above.
 """
 
 from __future__ import annotations
@@ -51,18 +63,29 @@ _SYEVR, _SYEVR_LWORK, _POTRF, _POTRS = get_lapack_funcs(
 
 @dataclass(frozen=True)
 class _ParityBlock:
-    """One parity block of a mask under its reflection group G.
+    """One parity block of a mask under its symmetry group G.
 
     For a character chi of G (chi(g) = +-1), the block's basis holds one
     vector per orbit G c on which chi is 1 on the stabilizer S_c:
     e_c = sum_{x in G c} chi(x) delta_x / sqrt|G c|.  `orbits[g]` holds the
     active-cell positions of g c for the orbit representatives c;
     `orbits[0]` are the representatives themselves, ascending.
+
+    A block with a `partner` stands for two: the transpose maps it onto a
+    second block with the same matrix up to the order of its basis, so the
+    second block's pairs are this block's with the vectors transposed.
     """
 
     signs: tuple            # chi(g) for each g in G, +1 or -1
     orbits: np.ndarray      # (|G|, m) active-cell positions of g c
     sizes: np.ndarray       # orbit sizes |G c|, as floats
+    partner: np.ndarray | None = None   # active-cell position of each cell's transpose
+
+    @property
+    def copies(self) -> tuple:
+        """Index maps from the active-cell vectors of this block to those of
+        each block it stands for: the identity, then the transpose."""
+        return (slice(None),) if self.partner is None else (slice(None), self.partner)
 
     def signed_sum(self, take) -> np.ndarray:
         """sum_g chi(g) take(orbits[g]), for a `take` that returns a new array."""
@@ -81,7 +104,7 @@ class _ParityBlock:
     def spread(self, y: np.ndarray, n_active: int) -> np.ndarray:
         """Active-cell values of sum_c y_c e_c (y a vector or columns):
         y_c / sqrt|G c| copied with its sign over each orbit, so that each
-        column is exactly even or odd under every flip of G."""
+        column is exactly even or odd under every element of G."""
         y = y / np.sqrt(self.sizes).reshape((-1,) + (1,) * (y.ndim - 1))
         out = np.zeros((n_active,) + y.shape[1:])
         for sign, cols in zip(self.signs, self.orbits):
@@ -107,36 +130,68 @@ def _reflection_axes(cells: np.ndarray, shape: tuple) -> list:
 
 def _parity_blocks(cells: np.ndarray, shape: tuple, axes: list) -> list:
     """Parity blocks of a mask under the reflections of the box along
-    `axes`, a nonempty list of axes whose reflection maps it onto itself.
+    `axes`, a nonempty list of axes whose reflection maps it onto itself,
+    and under the transpose when a 2D mask is symmetric in both axes and is
+    its own transpose (a square-symmetric mask).
 
-    Those reflections form G = Z_2^p for the p symmetric axes (bit j of g
+    The reflections form G = Z_2^p for the p symmetric axes (bit j of g
     flips the j-th of them), with the 2^p characters chi(g) =
     (-1)^popcount(chi & g).  The blocks come in the order chi = 0 (all
-    even), 1, ...  Orbit representatives are the active cells in the lower
-    half of every symmetric axis.  A cell on a mirror (the middle cell of an
-    odd axis) is fixed by that flip, so characters odd in that axis leave it
-    out, and a block with no cell left is dropped.
+    even), 1, ...
+
+    On a square-symmetric mask, G is the square's dihedral group: bit 0 of
+    g transposes, and bits 1 and 2 then flip the axes.  Its characters chi
+    = 0, 1 split the all-even block into transpose-even and transpose-odd
+    halves, and chi = 6, 7 split the all-odd block.  The transpose swaps
+    the odd-x/even-y and even-x/odd-y blocks, so only the first is built,
+    under Z_2^2, with the transpose as its partner.  The blocks come in the
+    order all even (two halves), odd-x (with its partner), all odd (two
+    halves).
+
+    An orbit's representative is its lowest active position: the cell in
+    the lower half of every symmetric axis, and on or below the diagonal on
+    a square-symmetric mask.  A cell that some g fixes (a cell on a mirror
+    or on the diagonal) is left out of the blocks whose chi(g) = -1, and a
+    block with no cell left is dropped.
     """
     position = np.full(cells.size, -1)
     position[cells] = np.arange(np.count_nonzero(cells))
     position = position.reshape(shape)
     coords = np.nonzero(cells.reshape(shape))
     last = shape[0] - 1
-    lower = np.ones(coords[0].size, dtype=bool)
-    for ax in axes:
-        lower &= 2 * coords[ax] <= last
-    reps = tuple(c[lower] for c in coords)
-    mirror = np.array([2 * reps[ax] == last for ax in axes])
-    group = range(1 << len(axes))
-    orbits = np.array([np.flip(position, [ax for j, ax in enumerate(axes) if g >> j & 1])[reps]
-                       for g in group])
+
+    def images(transpose: bool) -> np.ndarray:
+        """(|G|, n_active) active-cell positions of g x for every active x."""
+        out = []
+        for g in range(1 << (len(axes) + transpose)):
+            x = coords[::-1] if transpose and g & 1 else coords
+            flips = [ax for j, ax in enumerate(axes) if g >> (j + transpose) & 1]
+            out.append(position[tuple(last - c if ax in flips else c
+                                      for ax, c in enumerate(x))])
+        return np.array(out)
+
+    cube = cells.reshape(shape)
+    if len(axes) < 2 or cube.T.tobytes() != cube.tobytes():
+        return _character_blocks(images(False), range(1 << len(axes)))
+    dihedral = images(True)
+    return (_character_blocks(dihedral, (0, 1))
+            + _character_blocks(images(False), (1,), partner=dihedral[1])
+            + _character_blocks(dihedral, (6, 7)))
+
+
+def _character_blocks(images: np.ndarray, characters, partner=None) -> list:
+    """The blocks of `characters` (chi(g) = (-1)^popcount(chi & g)) of the
+    group whose element g maps active cell x to `images[g, x]`."""
+    reps = images.min(axis=0) == np.arange(images.shape[1])
+    orbits = images[:, reps]
+    fixed = orbits == orbits[0]     # g fixes the representative
     blocks = []
-    for chi in group:
-        keep = ~mirror[[j for j in range(len(axes)) if chi >> j & 1]].any(axis=0)
+    for chi in characters:
+        signs = tuple(-1 if (chi & g).bit_count() & 1 else 1 for g in range(len(orbits)))
+        keep = ~fixed[np.array(signs) < 0].any(axis=0)
         if keep.any():
-            signs = tuple(-1 if (chi & g).bit_count() & 1 else 1 for g in group)
-            sizes = 2.0 ** (len(axes) - mirror[:, keep].sum(axis=0))
-            blocks.append(_ParityBlock(signs, orbits[:, keep], sizes))
+            sizes = len(orbits) / fixed[:, keep].sum(axis=0)   # |G c| = |G| / |S_c|
+            blocks.append(_ParityBlock(signs, orbits[:, keep], sizes, partner))
     return blocks
 
 
@@ -225,18 +280,21 @@ class DirichletOperator:
         dpotrs call of `cho_solve`.
 
         On a symmetric mask, each parity block in which rhs has a nonzero
-        component is solved on its own factor; a right-hand side even under
-        every flip, such as the torsion's, needs only the all-even block.
+        component is solved on its own factor, and a partnered block's twin
+        on the same factor, with rhs and solution transposed.  A right-hand
+        side even under every element of the group, such as the torsion's,
+        needs only the fully symmetric block.
         """
         if not self._mirror_axes:
             return _potrs(self._cho, rhs)
         x = np.zeros(self.n_active)
         for i, blk in enumerate(self._parity):
-            z = blk.project(rhs)
-            if z.any():
-                if i not in self._block_chos:
-                    self._block_chos[i] = _potrf(self._block(blk))
-                x += blk.spread(_potrs(self._block_chos[i], z), self.n_active)
+            for copy in blk.copies:
+                z = blk.project(rhs[copy])
+                if z.any():
+                    if i not in self._block_chos:
+                        self._block_chos[i] = _potrf(self._block(blk))
+                    x += blk.spread(_potrs(self._block_chos[i], z), self.n_active)[copy]
         return x
 
     def scatter(self, active_values: np.ndarray) -> GridFunction:
@@ -366,19 +424,26 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
 def _parity_eigh(op: DirichletOperator, k: int) -> tuple:
     """`_lowest_eigh` for a symmetric mask, one parity block at a time.
 
-    Each block gives its lowest min(k, block size) pairs.  They merge in
-    ascending order, ties in block order, and each vector is spread over
-    the active cells with exact sign copies.  The merged pairs are checked
-    again on the whole restricted operator.
+    Each block gives its lowest min(k, block size) pairs, and a partnered
+    block gives them twice, the second time with the vectors transposed and
+    the same eigenvalues.  They merge in ascending order, ties in block
+    order, and each vector is spread over the active cells with exact sign
+    copies.  The merged pairs are checked again on the whole restricted
+    operator, and for orthonormality, which a pair taken twice would fail.
     """
     mus, vecs = [], []
     for blk in op._parity:
         mu, y, _ = _lowest_eigh(op._block(blk), min(k, blk.sizes.size))
-        mus.append(mu)
-        vecs.append(blk.spread(y, op.n_active))
+        v = blk.spread(y, op.n_active)
+        for copy in blk.copies:
+            mus.append(mu)
+            vecs.append(v[copy])
     mu, vecs = np.concatenate(mus), np.hstack(vecs)
     order = np.argsort(mu, kind="stable")[:k]
     mu, vecs = mu[order], vecs[:, order]
+    drift = np.abs(vecs.T @ vecs - np.eye(k)).max()
+    if not drift <= EIG_RTOL:     # NaN fails too
+        raise NumericError("merged eigenvectors are not orthonormal", achieved=float(drift))
     return mu, vecs, _eig_residuals(op._apply(vecs), vecs, mu)
 
 

@@ -92,7 +92,7 @@ def test_min_pair_distance_is_cdist_min_to_the_bit():
     # 2D supports of 1,500 and 2,000 cells: 46 row blocks
     cells = rng.permutation(len(centers))
     p, q = centers[cells[:1500]], centers[cells[1500:3500]]
-    assert len(p) * len(q) > 40 * grid_mod._PAIR_CHUNK
+    assert len(p) * len(q) > 40 * grid_mod._ROW_BLOCK_ENTRIES
     assert min_pair_distance(p, q) == cdist(p, q).min()
     assert min_pair_distance(p[:1], q[:1]) == cdist(p[:1], q[:1]).min()
     with pytest.raises(ParameterError):

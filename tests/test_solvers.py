@@ -95,9 +95,10 @@ def test_eigenpairs_degenerate_pair_full_square(base_2d):
 
 
 def test_eigenpairs_peak_memory():
-    # the full square solves four parity blocks of n / 4 cells each and
-    # never gathers the n x n restricted matrix: the peak reads 0.21 n^2
-    # float64 (a block, its gather temporary and dsyevr's copy)
+    # the full square solves five blocks, the largest the odd-x block of
+    # n / 4 cells, and never gathers the n x n restricted matrix: the peak
+    # reads 0.21 n^2 float64 (that block, its gather temporary and dsyevr's
+    # copy)
     g = build_grid(2, 4.0, 32)
     op = restrict(assemble_stiffness(g, 0.5), full_mask(g))
     tracemalloc.start()
@@ -115,34 +116,56 @@ def _square_mask(grid, rows, cols):
     return DomainMask(grid, cells.ravel())
 
 
-# (dim, resolution, mask, k, symmetric axes): full boxes of both parities
-# (an odd box has mirror cells, which the odd blocks leave out), a mask
-# symmetric in one axis only, a centred disc, a 2-cell mask with k = n, and
-# k above the size of every block
+def _transpose_only(grid):
+    # an L of two unequal arms: its own transpose, but no axis reflection
+    # maps it onto itself
+    cells = np.zeros(grid.shape, dtype=bool)
+    cells[1:10, 1:5] = cells[1:5, 1:10] = True
+    return DomainMask(grid, cells.ravel())
+
+
+# (dim, resolution, mask, k, symmetric axes, square-symmetric): full boxes of
+# both parities (an odd box has mirror cells, which the odd blocks leave
+# out), a mask symmetric in one axis only, centred discs, a 2-cell mask with
+# k = n, k above the size of every block, and a mask that is its own
+# transpose but has no axis symmetry, which takes the direct path.  On a
+# square-symmetric mask (both axes and the transpose) the all-even and
+# all-odd blocks split into transpose-even and -odd halves and the two
+# mixed blocks are solved as one.
 SYMMETRIC_CASES = {
-    "full-63": (1, 63, full_mask, 4, [0]),
-    "full-64": (1, 64, full_mask, 4, [0]),
-    "full-15x15": (2, 15, full_mask, 4, [0, 1]),
-    "full-16x16": (2, 16, full_mask, 4, [0, 1]),
-    "one-axis": (2, 16, lambda g: _square_mask(g, slice(2, 14), slice(3, 9)), 5, [0]),
-    "disc": (2, 15, lambda g: DomainMask(g, distances_from(g, [0.0, 0.0]) < 1.5), 6, [0, 1]),
-    "two-cells": (1, 64, lambda g: mask_from_indices(g, [10, 53]), 2, [0]),
-    "three-cells": (1, 63, lambda g: mask_from_indices(g, [20, 31, 42]), 3, [0]),
-    "centre-2x2": (2, 16, lambda g: _square_mask(g, slice(7, 9), slice(7, 9)), 4, [0, 1]),
+    "full-63": (1, 63, full_mask, 4, [0], False),
+    "full-64": (1, 64, full_mask, 4, [0], False),
+    "full-15x15": (2, 15, full_mask, 4, [0, 1], True),
+    "full-16x16": (2, 16, full_mask, 8, [0, 1], True),
+    "one-axis": (2, 16, lambda g: _square_mask(g, slice(2, 14), slice(3, 9)), 5, [0], False),
+    "disc": (2, 15, lambda g: DomainMask(g, distances_from(g, [0.0, 0.0]) < 1.5), 6,
+             [0, 1], True),
+    "disc-16": (2, 16, lambda g: DomainMask(g, distances_from(g, [0.0, 0.0]) < 1.6), 10,
+                [0, 1], True),
+    "two-cells": (1, 64, lambda g: mask_from_indices(g, [10, 53]), 2, [0], False),
+    "three-cells": (1, 63, lambda g: mask_from_indices(g, [20, 31, 42]), 3, [0], False),
+    "centre-2x2": (2, 16, lambda g: _square_mask(g, slice(7, 9), slice(7, 9)), 4,
+                   [0, 1], True),
+    "transpose-only": (2, 16, _transpose_only, 4, [], False),
 }
 
 
 @pytest.mark.parametrize("case", SYMMETRIC_CASES)
 def test_parity_blocks_match_dense(case):
-    # eigenpairs and torsion of reflection-symmetric masks, solved one
-    # parity block at a time, against eigvalsh and cho_solve on the
-    # restricted matrix; every eigenfunction is exactly even or odd, and the
-    # torsion exactly even, under each reflection that fixes the mask
-    dim, resolution, make_mask, k, axes = SYMMETRIC_CASES[case]
+    # eigenpairs and torsion of symmetric masks, solved one parity block at
+    # a time, against eigvalsh and cho_solve on the restricted matrix; every
+    # eigenfunction is exactly even or odd, and the torsion exactly even,
+    # under each reflection that fixes the mask; on a square-symmetric mask
+    # the transpose maps every eigenfunction exactly onto itself, its
+    # negative, or (the pairs of the mixed blocks) another one up to sign,
+    # and the torsion onto itself
+    dim, resolution, make_mask, k, axes, square = SYMMETRIC_CASES[case]
     g = build_grid(dim, 2.0, resolution)
     base = assemble_stiffness(g, 0.5)
     op = restrict(base, make_mask(g))
     assert op._mirror_axes == axes
+    if axes:
+        assert any(blk.partner is not None for blk in op._parity) == square
     spec = eigenpairs(op, k)
     a_mat = base.matrix()[np.ix_(op.active_index, op.active_index)]
     w = eigvalsh(a_mat / g.cell_volume)[:k]
@@ -160,25 +183,62 @@ def test_parity_blocks_match_dense(case):
             assert (np.array_equal(flipped[..., j], cube[..., j])
                     or np.array_equal(flipped[..., j], -cube[..., j]))
         assert np.array_equal(np.flip(tor.reshape(g.shape), ax), tor.reshape(g.shape))
+    if square:
+        transposed = cube.swapaxes(0, 1)
+        for j in range(k):
+            assert any(np.array_equal(transposed[..., j], sign * cube[..., i])
+                       for i in range(k) for sign in (1, -1))
+        assert np.array_equal(tor.reshape(g.shape).T, tor.reshape(g.shape))
+    if axes:
+        # the torsion's constant right-hand side reaches the fully
+        # symmetric block alone, so only that block was factored
+        assert list(op._block_chos) == [0]
+
+
+@pytest.mark.parametrize("resolution", [15, 16, 32, 33])
+def test_square_degenerate_pair_is_exact(resolution):
+    # on a full square the pair lambda_2 = lambda_3 comes from the odd-x
+    # block and its transpose: equal to the bit, in a fixed order, the
+    # third eigenfunction the second one transposed; the transpose-odd
+    # eigenfunctions are exactly odd, and lambda_4's four extrema, which
+    # only the diagonal reflections relate, tie to the bit
+    g = build_grid(2, 4.0, resolution)
+    op = restrict(assemble_stiffness(g, 0.5), full_mask(g))
+    spec = eigenpairs(op, 6)
+    assert spec.eigenvalues[1] == spec.eigenvalues[2]
+    efs = [f.values.reshape(g.shape) for f in spec.eigenfunctions]
+    assert np.array_equal(np.flip(efs[1], 0), -efs[1])     # odd in x
+    assert (np.array_equal(efs[2], efs[1].T) or np.array_equal(efs[2], -efs[1].T))
+    odd = [j for j, ef in enumerate(efs) if np.array_equal(ef.T, -ef)]
+    assert odd and all(np.all(np.diagonal(efs[j]) == 0) for j in odd)
+    assert all(np.array_equal(ef.T, ef) for j, ef in enumerate(efs) if j not in odd + [1, 2])
+    tor = solve_torsion(op).values.values.reshape(g.shape)
+    assert np.array_equal(tor.T, tor)
+
+
+def _corner_cut(grid):
+    cells = np.ones(grid.n_cells, dtype=bool)
+    cells[0] = False
+    return DomainMask(grid, cells)
 
 
 def test_asymmetric_mask_is_the_dense_solve_to_the_bit():
-    # negative control: one cell away from the symmetric full square, the
-    # mask has no reflection, and the answers are the gather's dsyevr and
-    # dpotrf/dpotrs results to the bit
+    # negative control: one cell away from the symmetric full square, or
+    # symmetric under the transpose alone, the mask has no axis reflection,
+    # and the answers are the gather's dsyevr and dpotrf/dpotrs results to
+    # the bit
     g = build_grid(2, 2.0, 16)
     base = assemble_stiffness(g, 0.5)
-    cells = np.ones(g.n_cells, dtype=bool)
-    cells[0] = False
-    op = restrict(base, DomainMask(g, cells))
-    assert op._mirror_axes == []
-    spec = eigenpairs(op, 4)
-    mu, vecs, residuals = solvers._lowest_eigh(op.matrix(), 4)
-    assert np.array_equal(spec.eigenvalues, mu / g.cell_volume)
-    assert np.array_equal(spec.vectors, vecs / np.sqrt(g.cell_volume))
-    assert np.array_equal(spec.residuals, residuals)
-    ref = cho_solve(cho_factor(op.matrix()), np.full(op.n_active, g.cell_volume))
-    assert np.array_equal(solve_torsion(op).values.values[op.active_index], ref)
+    for make_mask in (_corner_cut, _transpose_only):
+        op = restrict(base, make_mask(g))
+        assert op._mirror_axes == []
+        spec = eigenpairs(op, 4)
+        mu, vecs, residuals = solvers._lowest_eigh(op.matrix(), 4)
+        assert np.array_equal(spec.eigenvalues, mu / g.cell_volume)
+        assert np.array_equal(spec.vectors, vecs / np.sqrt(g.cell_volume))
+        assert np.array_equal(spec.residuals, residuals)
+        ref = cho_solve(cho_factor(op.matrix()), np.full(op.n_active, g.cell_volume))
+        assert np.array_equal(solve_torsion(op).values.values[op.active_index], ref)
 
 
 def test_symmetric_eigenfunction_sign_is_stable():
@@ -343,6 +403,37 @@ def test_residual_checks_can_fail(base_64, monkeypatch):
         solve_torsion(fresh)
     with pytest.raises(NumericError):
         eigenpairs(fresh, 2)
+    # on a full square, a transpose-odd half off by 1e-6 relative, and the
+    # odd-x block's pairs copied to its partner without the transpose, must
+    # each fail the checks on the whole restricted operator
+    monkeypatch.undo()
+    g = build_grid(2, 2.0, 16)
+    base = assemble_stiffness(g, 0.5)
+    f = GridFunction(g, np.random.default_rng(2).standard_normal(g.n_cells))
+    op = restrict(base, full_mask(g))
+    assert op._parity[1].signs == (1, -1) * 4      # all even, transpose-odd
+    lowest_odd = solvers._lowest_eigh(op._block(op._parity[1]), 1)[0][0] / g.cell_volume
+    assert eigenpairs(op, 6).eigenvalues[5] == pytest.approx(lowest_odd, rel=1e-12)
+    apply_resolvent(op, f)
+    exact_block, exact_blocks = DirichletOperator._block, solvers._parity_blocks
+
+    def bad_block(self, blk):
+        scale = 1 + 1e-6 if blk is self._parity[1] else 1.0
+        return scale * exact_block(self, blk)
+
+    def untransposed(cells, shape, axes):
+        return [replace(blk, partner=np.arange(np.count_nonzero(cells)))
+                if blk.partner is not None else blk
+                for blk in exact_blocks(cells, shape, axes)]
+
+    for name, target, corrupt in (("_block", DirichletOperator, bad_block),
+                                  ("_parity_blocks", solvers, untransposed)):
+        monkeypatch.setattr(target, name, corrupt)
+        with pytest.raises(NumericError):
+            eigenpairs(restrict(base, full_mask(g)), 6)
+        with pytest.raises(NumericError):
+            apply_resolvent(restrict(base, full_mask(g)), f)
+        monkeypatch.undo()
 
 
 def test_residual_checks_fail_on_nan(base_64, monkeypatch):
