@@ -282,15 +282,16 @@ def lieb_translation_search(base: StiffnessOperator, mask_a: DomainMask,
     l1a = eigenpairs(restrict(base, mask_a), 1).eigenvalues[0]
     l1b = eigenpairs(restrict(base, mask_b), 1).eigenvalues[0]
     bound = 2.0 * (l1a + l1b)
-    multi = grid.multi_index(mask_a.active_indices)
+    active_a = mask_a.active_indices
+    multi = grid.multi_index(active_a)
     lo, hi = multi.min(axis=0), multi.max(axis=0)
     ranges = [range(-int(l), grid.resolution - int(h)) for l, h in zip(lo, hi)]
+    # an in-box shift moves a flat C-ordered index by z . strides, no wrap
+    strides = grid.resolution ** np.arange(grid.dim - 1, -1, -1)
     best = None
-    cells_b = mask_b.cells.reshape(grid.shape)
-    cells_a = mask_a.cells.reshape(grid.shape)
     for z in itertools.product(*ranges):
-        shifted = np.roll(cells_a, z, axis=tuple(range(grid.dim)))
-        inter = np.flatnonzero((shifted & cells_b).ravel())
+        moved = active_a + int(np.dot(z, strides))
+        inter = moved[mask_b.cells[moved]]
         if inter.size == 0:
             continue
         lam = eigenpairs(restrict(base, mask_from_indices(grid, inter)), 1).eigenvalues[0]

@@ -212,6 +212,8 @@ def weighted_gagliardo_sq(op: StiffnessOperator, u: GridFunction,
     _check_same_grid(op, u)
     v = u.values
     w2 = np.asarray(weights, dtype=float) ** 2
+    if w2.shape != v.shape:
+        raise StructuralError(f"weights have shape {w2.shape}, the grid has {v.size} cells")
     # with A = diag(row + rho) - k the pair sum needs no row sums of k
     v2 = v * v
     return float(np.dot(w2, v * op.apply(v) - 0.5 * op.apply(v2)

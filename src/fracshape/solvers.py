@@ -9,10 +9,9 @@ positive definite.
 Everything here is dense LAPACK on the restricted matrix, called directly
 rather than through scipy's `cho_factor`/`cho_solve`/`eigvalsh` wrappers,
 whose per-call checks cost more than the small solves themselves: linear
-systems go through a cached `dpotrf` factor and `dpotrs`, eigenpairs through
-one subset `dsyevr` call site (`_lowest_eigh`, shared with the annealing
-loop), and resolvent-difference norms through an eigenvalue-only `dsyevr`
-call on the symmetric difference.  The calls are the wrappers' own, so the
+systems and resolvents (`solve` on identity columns) go through one cached
+`dpotrf` factor per operator and `dpotrs`, and eigenpairs and resolvent-gap
+norms through one `dsyevr` helper.  The calls are the wrappers' own, so the
 results are the same to the bit.  LAPACK does not check for NaN; every
 result is checked against a residual tolerance instead, which a NaN fails.
 
@@ -23,9 +22,10 @@ those reflections, and in the basis of signed orbit sums the restricted
 matrix splits into 2^p blocks for p symmetric axes (the symmetry-adapted
 basis; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
 `eigenpairs` solves every block and merges the pairs; a linear solve
-solves the blocks its right-hand side has a component in, so
+solves the blocks its right-hand sides have a component in, so
 `solve_torsion`, whose right-hand side is constant, solves only the
-all-even block.
+all-even block, and a resolvent gap solves its identity columns on the
+blocks without gathering the restricted matrix.
 
 A 2D mask symmetric in both axes that is also its own transpose is solved
 under the square's full symmetry group, the dihedral group of order 8: A
@@ -98,8 +98,9 @@ class _ParityBlock:
         return out
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients e_c . v of an active-cell vector v."""
-        return self.signed_sum(v.__getitem__) * np.sqrt(self.sizes) / len(self.signs)
+        """Coefficients e_c . v of active-cell values v (a vector or columns)."""
+        root = np.sqrt(self.sizes).reshape((-1,) + (1,) * (v.ndim - 1))
+        return self.signed_sum(v.__getitem__) * root / len(self.signs)
 
     def spread(self, y: np.ndarray, n_active: int) -> np.ndarray:
         """Active-cell values of sum_c y_c e_c (y a vector or columns):
@@ -277,7 +278,7 @@ class DirichletOperator:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct solve on active cells via cached Cholesky factors: the
-        dpotrs call of `cho_solve`.
+        dpotrs call of `cho_solve`, for a right-hand side vector or columns.
 
         On a symmetric mask, each parity block in which rhs has a nonzero
         component is solved on its own factor, and a partnered block's twin
@@ -287,7 +288,7 @@ class DirichletOperator:
         """
         if not self._mirror_axes:
             return _potrs(self._cho, rhs)
-        x = np.zeros(self.n_active)
+        x = np.zeros(rhs.shape)
         for i, blk in enumerate(self._parity):
             for copy in blk.copies:
                 z = blk.project(rhs[copy])
@@ -456,23 +457,27 @@ def _syevr_workspace(n: int) -> tuple:
     return int(work), int(iwork)
 
 
+def _syevr(a_mat: np.ndarray, **kw) -> tuple:
+    """(w, v) of the symmetric a_mat's lower triangle: the dsyevr call of
+    `scipy.linalg.eigh`/`eigvalsh`, `kw` picking the vectors and range."""
+    lwork, liwork = _syevr_workspace(a_mat.shape[0])
+    w, v, _, _, info = _SYEVR(a_mat, lower=1, lwork=lwork, liwork=liwork, **kw)
+    if info != 0:
+        raise NumericError(f"dsyevr failed: info = {info}")
+    return w, v
+
+
 def _lowest_eigh(a_mat: np.ndarray, k: int) -> tuple:
     """Lowest k eigenpairs (mu ascending, unit vectors) of the symmetric
     a_mat and their residuals ||A v - mu v|| / |mu|, checked against EIG_RTOL.
 
     The one eigenpair call site, shared by `eigenpairs` and the annealing
-    loop: the dsyevr call of `scipy.linalg.eigh(a_mat, subset_by_index=[0,
-    k - 1])` without the wrapper's per-call checks, so the results are the
-    same to the bit.  Eigenvectors stay on: the residual check needs them,
-    and dsyevr's eigenvalue-only path rounds differently.  dsyevr does not
-    check for NaN, so a NaN entry shows only as a NaN residual, which fails
-    the check.
+    loop: the dsyevr call of `eigh(a_mat, subset_by_index=[0, k - 1])`.
+    Eigenvectors stay on: the residual check needs them, and dsyevr's
+    eigenvalue-only path rounds differently.  dsyevr does not check for NaN,
+    so a NaN entry shows only as a NaN residual, which fails the check.
     """
-    lwork, liwork = _syevr_workspace(a_mat.shape[0])
-    mu, vecs, _, _, info = _SYEVR(a_mat, compute_v=1, range="I", lower=1,
-                                  il=1, iu=k, lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise NumericError(f"dsyevr failed: info = {info}")
+    mu, vecs = _syevr(a_mat, compute_v=1, range="I", il=1, iu=k)
     mu = mu[:k]
     return mu, vecs, _eig_residuals(a_mat @ vecs, vecs, mu)
 
@@ -490,9 +495,10 @@ def _eig_residuals(av: np.ndarray, vecs: np.ndarray, mu: np.ndarray) -> np.ndarr
 
 def eigenvalues_or_inf(base: StiffnessOperator, mask: DomainMask, k: int) -> np.ndarray:
     """Eigenvalues with the empty-set convention lambda_k = +inf."""
-    if mask.is_empty:
+    try:
+        op = restrict(base, mask)      # checks the grid before emptiness
+    except DomainEmptyError:
         return np.full(k, np.inf)
-    op = restrict(base, mask)
     kk = min(k, op.n_active)
     vals = eigenpairs(op, kk).eigenvalues
     if kk < k:
@@ -500,38 +506,31 @@ def eigenvalues_or_inf(base: StiffnessOperator, mask: DomainMask, k: int) -> np.
     return vals
 
 
-def _dense_resolvent(op: DirichletOperator | None, indices: np.ndarray) -> np.ndarray:
-    """Resolvent matrix restricted to `indices` (rows/cols outside are zero)."""
-    block = np.zeros((indices.size, indices.size))
-    if op is None:
-        return block
-    h_meas = op.grid.cell_volume
-    inv = h_meas * np.linalg.inv(op.matrix())
-    rows = np.searchsorted(indices, op.active_index)
-    block[np.ix_(rows, rows)] = inv
-    return block
-
-
 def resolvent_norm_diff(op_a: DirichletOperator | None,
                         op_b: DirichletOperator | None) -> float:
     """Operator norm of R_A - R_B on L2 of the full grid.
 
-    Either operator may be None (the empty set; null resolvent).  The
-    difference is symmetric, so its norm is its largest |eigenvalue|, from
-    the dsyevr call of `eigvalsh`.
+    Either operator may be None (the empty set; null resolvent).  Each
+    resolvent h^dim A^-1 is `solve` on identity columns, a block of
+    columns at a time, added into the difference on the union of the
+    active cells.  The difference is symmetric, so its norm is its largest
+    |eigenvalue|, from the dsyevr call of `eigvalsh`.
     """
-    ops = [op for op in (op_a, op_b) if op is not None]
-    if not ops:
+    terms = [(op, sign) for op, sign in ((op_a, 1.0), (op_b, -1.0)) if op is not None]
+    if not terms:
         return 0.0
-    if len({op.grid for op in ops}) > 1:
+    if len({op.grid for op, _ in terms}) > 1:
         raise StructuralError("operators live on different grids")
-    indices = np.unique(np.concatenate([op.active_index for op in ops]))
-    d = _dense_resolvent(op_a, indices) - _dense_resolvent(op_b, indices)
-    lwork, liwork = _syevr_workspace(indices.size)
-    w, _, _, _, info = _SYEVR(d, compute_v=0, range="A", lower=1,
-                              lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise NumericError(f"dsyevr failed: info = {info}")
+    indices = np.unique(np.concatenate([op.active_index for op, _ in terms]))
+    d = np.zeros((indices.size, indices.size))
+    for op, sign in terms:
+        m, rows = op.n_active, np.searchsorted(indices, op.active_index)
+        for cols in row_blocks(m, m):
+            eye = np.eye(m, rows[cols].size, -cols.start)     # columns cols of I
+            # an operator on the whole union takes plain slices, a cheaper index
+            block = (slice(None), cols) if m == indices.size else np.ix_(rows, rows[cols])
+            d[block] += (sign * op.grid.cell_volume) * op.solve(eye)
+    w, _ = _syevr(d, compute_v=0, range="A")
     return float(np.abs(w).max())
 
 
@@ -547,7 +546,8 @@ def torsion_resolvent_bound_check(op_a: DirichletOperator,
     """Compare the resolvent gap with the torsion L2 distance on nested masks.
 
     Also checks the duality identity (`duality_residual`), with resolvents
-    and torsion functions from separate solves.
+    and torsion functions from separate solves on each operator's one set
+    of factors.
     """
     if not op_b.mask.is_subset_of(op_a.mask):
         raise StructuralError("second operator's mask must be nested in the first")

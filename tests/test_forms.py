@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.spatial.distance import cdist
 
-from fracshape.errors import BudgetError, NumericError, ParameterError
+from fracshape.errors import BudgetError, NumericError, ParameterError, StructuralError
 from fracshape.forms import (PADDING, FracParams, adjacent_correction_factor,
                              assemble_stiffness, fourier_seminorm_sq, gagliardo_sq,
                              normalization_constant, weighted_gagliardo_sq)
@@ -302,6 +302,15 @@ def test_weighted_form_bounded_by_plain():
     u = GridFunction(g, rng.standard_normal(48))
     weights = rng.uniform(0.0, 1.0, 48)
     assert weighted_gagliardo_sq(op, u, weights) <= gagliardo_sq(op, u) + 1e-12
+
+
+@pytest.mark.parametrize("weights", [np.ones(63), np.ones(65), 1.0, np.ones((64, 1))])
+def test_weighted_form_rejects_misshapen_weights(weights):
+    # one weight per cell, or a fracshape error (not numpy's broadcast error)
+    g = build_grid(1, 4.0, 64)
+    op = assemble_stiffness(g, 0.5)
+    with pytest.raises(StructuralError, match="weights"):
+        weighted_gagliardo_sq(op, GridFunction(g, np.ones(64)), weights)
 
 
 @pytest.mark.parametrize("dim,res,s", [(1, 32, 0.3), (2, 6, 0.5)])

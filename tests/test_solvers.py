@@ -292,6 +292,14 @@ def test_eigenvalues_or_inf_conventions(base_64):
     assert np.isfinite(lam[0]) and np.isinf(lam[1]) and np.isinf(lam[2])
 
 
+def test_eigenvalues_or_inf_checks_the_grid_of_empty_masks(base_64):
+    # an empty mask from another grid is a mismatch, as a nonempty one is
+    other = build_grid(1, 4.0, 32)
+    for mask in (empty_mask(other), full_mask(other)):
+        with pytest.raises(StructuralError):
+            eigenvalues_or_inf(base_64, mask, 2)
+
+
 def test_torsion_against_direct_solve(base_64):
     mask = mask_from_indices(base_64.grid, range(16, 48))
     op = restrict(base_64, mask)
@@ -345,7 +353,8 @@ def test_lowest_eigh_is_scipy_eigh_to_the_bit(base_64, base_2d):
 
 def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
     # dpotrf/dpotrs and the eigenvalue-only dsyevr make the calls that
-    # cho_factor/cho_solve and eigvalsh make
+    # cho_factor/cho_solve and eigvalsh make: the gap is eigvalsh of the
+    # difference of h^dim cho_solve(cho_factor(A), I), to the bit
     rng = np.random.default_rng(5)
     for base, m in ((base_64, 6), (base_64, 24), (base_2d, 20), (base_2d, 57)):
         grid = base.grid
@@ -353,12 +362,41 @@ def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
         inner = outer[rng.random(m) < 0.6]
         op_a = restrict(base, mask_from_indices(grid, outer))
         op_b = restrict(base, mask_from_indices(grid, inner))
+        assert not (op_a._mirror_axes or op_b._mirror_axes)
         rhs = rng.standard_normal(m)
         assert np.array_equal(op_a.solve(rhs), cho_solve(cho_factor(op_a.matrix()), rhs))
-        indices = op_a.active_index
-        d = (solvers._dense_resolvent(op_a, indices)
-             - solvers._dense_resolvent(op_b, indices))
+        d = np.zeros((m, m))
+        for op, sign in ((op_a, 1.0), (op_b, -1.0)):
+            rows = np.searchsorted(outer, op.active_index)
+            inv = cho_solve(cho_factor(op.matrix()), np.eye(op.n_active))
+            d[np.ix_(rows, rows)] += (sign * grid.cell_volume) * inv
         assert resolvent_norm_diff(op_a, op_b) == float(np.abs(eigvalsh(d)).max())
+
+
+@pytest.mark.parametrize("case", ["1d-union", "2d-disc"])
+def test_symmetric_gap_is_solved_on_the_blocks(base_64, case):
+    # on symmetric masks the gap comes from the parity-block factors: it
+    # matches an LU-inverse oracle, and no restricted matrix is gathered
+    if case == "1d-union":
+        base = base_64
+        union = np.zeros(64, dtype=bool)
+        union[10:20] = union[44:54] = True
+        outer, inner = DomainMask(base.grid, union), mask_from_indices(base.grid, range(10, 20))
+    else:
+        base = assemble_stiffness(build_grid(2, 2.0, 16), 0.5)
+        outer = full_mask(base.grid)
+        inner = DomainMask(base.grid, distances_from(base.grid, [0.0, 0.0]) < 1.0)
+    op_a, op_b = restrict(base, outer), restrict(base, inner)
+    assert op_a._mirror_axes and bool(op_b._mirror_axes) == (case == "2d-disc")
+    gap = resolvent_norm_diff(op_a, op_b)
+    assert all("_matrix" not in op.__dict__ for op in (op_a, op_b) if op._mirror_axes)
+    indices = outer.active_indices
+    d = np.zeros((indices.size,) * 2)
+    for mask, sign in ((outer, 1.0), (inner, -1.0)):
+        rows = np.searchsorted(indices, mask.active_indices)
+        inv = np.linalg.inv(base.submatrix(mask.active_indices))
+        d[np.ix_(rows, rows)] += (sign * base.grid.cell_volume) * inv
+    assert gap == pytest.approx(np.abs(eigvalsh(d)).max(), rel=1e-12, abs=0)
 
 
 def test_cholesky_rejects_indefinite_matrix(base_64):
@@ -448,11 +486,16 @@ def test_residual_checks_fail_on_nan(base_64, monkeypatch):
                         lambda self, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(NumericError):
         solve_torsion(op)
-    # a NaN resolvent difference makes dsyevr report info != 0
-    monkeypatch.setattr(solvers, "_dense_resolvent",
-                        lambda op, indices: np.full((indices.size,) * 2, np.nan))
-    with pytest.raises(NumericError):
+    # NaN solves, or NaN factors under exact solves, give a NaN resolvent
+    # difference, for which dsyevr reports info != 0
+    with pytest.raises(NumericError, match="dsyevr"):
         resolvent_norm_diff(op, None)
+    monkeypatch.undo()
+    monkeypatch.setattr(solvers, "_potrf", lambda a_mat: np.full_like(a_mat, np.nan))
+    for indices in (range(20, 44), range(20, 45)):     # parity blocks, direct path
+        fresh = restrict(base_64, mask_from_indices(base_64.grid, indices))
+        with pytest.raises(NumericError, match="dsyevr"):
+            resolvent_norm_diff(fresh, None)
 
 
 def test_resolvent_norm_diff_vs_empty(base_64):
@@ -486,6 +529,28 @@ def test_bound_check_duality_and_nesting(base_64):
     assert rep.lhs >= 0 and rep.rhs >= 0
     with pytest.raises(StructuralError):
         torsion_resolvent_bound_check(inner, outer)
+
+
+@pytest.mark.parametrize("outer,inner", [(range(12, 52), range(12, 51)),
+                                         (range(12, 52), range(16, 48))])
+def test_bound_check_factors_each_operator_once(base_64, monkeypatch, outer, inner):
+    # torsion, resolvent gap and duality share each operator's factors: one
+    # dpotrf per operator (per parity block on a symmetric mask), no LU
+    g = base_64.grid
+    ops = [restrict(base_64, mask_from_indices(g, idx)) for idx in (outer, inner)]
+    calls, exact = [], solvers._POTRF
+
+    def counted(a_mat, **kw):
+        calls.append(a_mat.shape)
+        return exact(a_mat, **kw)
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a restricted matrix was LU-inverted")
+
+    monkeypatch.setattr(solvers, "_POTRF", counted)
+    monkeypatch.setattr(np.linalg, "inv", no_lu)
+    torsion_resolvent_bound_check(*ops)
+    assert len(calls) == sum(len(op._parity) if op._mirror_axes else 1 for op in ops)
 
 
 def test_bound_check_duality_negative_control(base_64, monkeypatch):
