@@ -34,7 +34,9 @@ class DomainEmptyError(FracshapeError):
 
 
 class NumericError(FracshapeError):
-    """An iterative procedure failed to reach its tolerance within budget."""
+    """A numerical check failed: LAPACK returned info != 0, a solve or an
+    eigenpair missed its residual tolerance, or merged eigenvectors are
+    not orthonormal."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

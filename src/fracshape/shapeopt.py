@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,43 +33,44 @@ CAUCHY_FRACTION = 0.02          # relative torsion spread for a compactness verd
 @dataclass(frozen=True)
 class FunctionalSpec:
     """Monotone eigenvalue functional: expression over l1..lk built from
-    +, max, nonnegative constants, and multiplication by positive constants."""
+    +, max, nonnegative constants, and multiplication by positive constants,
+    with its compiled evaluator (lambda_1..lambda_k -> J, a float)."""
 
     k: int
     combiner: str
     name: str
-    _tree: ast.Expression = field(repr=False, compare=False)
+    _evaluate: Callable = field(repr=False, compare=False)
 
 
 def _is_constant(node) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
 
 
-def _validate_node(node, k: int) -> None:
+def _compile_node(node, k: int) -> Callable:
+    """Check a combiner node against the grammar and return its evaluator,
+    a function of the eigenvalue vector."""
     if _is_constant(node):
-        return
+        value = float(node.value)
+        return lambda lam: value
     if isinstance(node, ast.Name):
         if node.id.startswith("l") and node.id[1:].isdigit():
             j = int(node.id[1:])
             if 1 <= j <= k:
-                return
+                return lambda lam: float(lam[j - 1])
         raise ParameterError(f"unknown name {node.id!r}; variables are l1..l{k}")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        _validate_node(node.left, k)
-        _validate_node(node.right, k)
-        return
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        const = node.left if _is_constant(node.left) else node.right
-        other = node.right if _is_constant(node.left) else node.left
-        if not _is_constant(const) or const.value <= 0:
-            raise ParameterError("multiplication must involve a positive constant")
-        _validate_node(other, k)
-        return
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
+        if isinstance(node.op, ast.Mult):
+            const = node.left if _is_constant(node.left) else node.right
+            if not _is_constant(const) or const.value <= 0:
+                raise ParameterError("multiplication must involve a positive constant")
+        left, right = _compile_node(node.left, k), _compile_node(node.right, k)
+        if isinstance(node.op, ast.Add):
+            return lambda lam: left(lam) + right(lam)
+        return lambda lam: left(lam) * right(lam)
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "max" and not node.keywords and len(node.args) >= 1):
-        for a in node.args:
-            _validate_node(a, k)
-        return
+        args = [_compile_node(a, k) for a in node.args]
+        return lambda lam: max(a(lam) for a in args)
     raise ParameterError(
         "combiner may only use l1..lk, constants, +, max, and positive scaling"
     )
@@ -81,27 +83,15 @@ def make_functional(name: str, k: int, combiner: str) -> FunctionalSpec:
         tree = ast.parse(combiner, mode="eval")
     except SyntaxError as exc:
         raise ParameterError(f"combiner does not parse: {exc}") from exc
-    _validate_node(tree.body, int(k))
-    return FunctionalSpec(k=int(k), combiner=combiner, name=name, _tree=tree)
-
-
-def _eval_node(node, lam: np.ndarray) -> float:
-    if _is_constant(node):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        return float(lam[int(node.id[1:]) - 1])
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        return _eval_node(node.left, lam) + _eval_node(node.right, lam)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return _eval_node(node.left, lam) * _eval_node(node.right, lam)
-    return max(_eval_node(a, lam) for a in node.args)
+    return FunctionalSpec(k=int(k), combiner=combiner, name=name,
+                          _evaluate=_compile_node(tree.body, int(k)))
 
 
 def eval_functional(spec: FunctionalSpec, base: StiffnessOperator,
                     mask: DomainMask) -> float:
     """J(mask) = combiner(lambda_1..lambda_k), with lambda_j = +inf beyond the
     mask's cell count (all of them on the empty mask)."""
-    return float(_eval_node(spec._tree.body, eigenvalues_or_inf(base, mask, spec.k)))
+    return spec._evaluate(eigenvalues_or_inf(base, mask, spec.k))
 
 
 # --- geometry helpers ---------------------------------------------------------
@@ -200,31 +190,25 @@ class ShapeTrajectory:
 
 
 def _neighbour_table(grid: Grid) -> np.ndarray:
-    """(n_cells, 2 dim) flat indices of each cell's face neighbours; a
-    neighbour outside the box is the extra slot n_cells."""
+    """(2 dim, n_cells) flat indices of each cell's face neighbours, one
+    row per direction (-1, +1 along axis 0, then axis 1); a neighbour
+    outside the box is the extra slot n_cells."""
     r = grid.resolution
     padded = np.full((r + 2,) * grid.dim, grid.n_cells)
     padded[(slice(1, r + 1),) * grid.dim] = np.arange(grid.n_cells).reshape(grid.shape)
-    columns = []
+    rows = []
     for axis in range(grid.dim):
         for step in (-1, 1):
             window = [slice(1, r + 1)] * grid.dim
             window[axis] = slice(1 + step, r + 1 + step)
-            columns.append(padded[tuple(window)].ravel())
-    return np.stack(columns, axis=1)
+            rows.append(padded[tuple(window)].ravel())
+    return np.stack(rows)
 
 
-def _move_counts(counts: np.ndarray, neighbours: np.ndarray,
-                 removed: int, inserted: int) -> None:
-    """Update the active-neighbour counts for one accepted exchange move."""
-    counts[neighbours[removed]] -= 1
-    counts[neighbours[inserted]] += 1
-
-
-def _counted_boundary(cells: np.ndarray, counts: np.ndarray, dim: int) -> np.ndarray:
-    """Active cells with fewer than 2 dim active face neighbours (the box
-    exterior counts as inactive)."""
-    return np.flatnonzero(cells & (counts[:cells.size] < 2 * dim))
+def _boundary(cells: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Active cells with an inactive face neighbour, from the neighbour
+    table of `_neighbour_table` (the box exterior counts as inactive)."""
+    return np.flatnonzero(cells & ~np.append(cells, False)[neighbours].all(axis=0))
 
 
 def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
@@ -236,19 +220,19 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     cell; downhill moves are always accepted, uphill moves with probability
     exp(-dJ / T_j).  Deterministic for a given seed.
 
-    A move does only what its value needs.  The boundary is read off
-    active-neighbour counts, and it and the inactive list are refreshed
-    only on accepted moves, since a rejected move restores the state.  A
-    mask is solved once per walk: J is memoized on the mask's packed bits,
-    in a dict dropped when the walk returns.  A new mask's matrix is one
-    gather of A's couplings on the sorted active cells, and its
-    eigenvalues come from `solvers._lowest_eigh`, the LAPACK call and
+    A move does only what its value needs.  The boundary (`_boundary`) and
+    the inactive list are functions of the mask alone, recomputed at the
+    start and after each accepted move, since a rejected move restores the
+    mask.  A mask is solved once per walk: J is memoized on the mask's
+    packed bits, in a dict dropped when the walk returns.  A new mask's
+    matrix is one gather of A's couplings on the sorted active cells, and
+    its eigenvalues come from `solvers._lowest_eigh`, the LAPACK call and
     residual check that `eigenpairs` makes on a mask no axis reflection of
-    the box maps onto itself.  A mask that one does is valued by
-    `eval_functional` itself, on `eigenpairs`' parity blocks.  So every
-    value is `eval_functional`'s to the bit, and a walk is the same for a
-    given seed as one built from `eval_functional` and a morphological
-    boundary.
+    the box maps onto itself; the functional's compiled evaluator turns
+    them into J.  A mask that one does is valued by `eval_functional`
+    itself, on `eigenpairs`' parity blocks.  So every value is
+    `eval_functional`'s to the bit, and a walk is the same for a given
+    seed as one built from `eval_functional` and a morphological boundary.
     """
     grid = base.grid
     m = int(round(c / grid.cell_volume))
@@ -278,14 +262,11 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         elif value is None:
             a = np.flatnonzero(cells)
             mu = _lowest_eigh(base.submatrix(a), kk)[0]
-            value = memo[key] = float(_eval_node(
-                spec._tree.body, np.concatenate([mu / h_meas, beyond])))
+            value = memo[key] = spec._evaluate(np.concatenate([mu / h_meas, beyond]))
         return value
 
     neighbours = _neighbour_table(grid)
-    counts = np.zeros(grid.n_cells + 1, dtype=np.intp)
-    counts[:-1] = np.append(cells, False)[neighbours].sum(axis=1)
-    boundary = _counted_boundary(cells, counts, grid.dim)
+    boundary = _boundary(cells, neighbours)
     inactive = np.flatnonzero(~cells)
     value = evaluate()
     t0 = schedule.t0_factor * abs(value) if np.isfinite(value) else 1.0
@@ -306,8 +287,7 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         accept = delta < 0 or (temp > 0 and np.isfinite(delta)
                                and rng.random() < np.exp(-delta / temp))
         if accept:
-            _move_counts(counts, neighbours, out_cell, in_cell)
-            boundary = _counted_boundary(cells, counts, grid.dim)
+            boundary = _boundary(cells, neighbours)
             inactive = np.flatnonzero(~cells)
             value = new_value
             move_log.append({"iteration": j, "removed": out_cell,
@@ -348,10 +328,10 @@ def connected_components(mask: DomainMask) -> list:
     table = _neighbour_table(grid)
     on = np.append(mask.cells, False)
     # an active cell whose -1 neighbour along the last axis is off starts a run
-    run = np.cumsum(~on[table[active, -2]]) - 1
+    run = np.cumsum(~on[table[-2, active]]) - 1
     run_of = np.empty(grid.n_cells + 1, dtype=np.intp)
     run_of[active] = run
-    ahead = table[active, 1:-2:2].ravel()   # +1 neighbours along the other axes
+    ahead = table[1:-2:2, active].T.ravel()   # +1 neighbours along the other axes
     joined = on[ahead]
     u, v = np.repeat(run, grid.dim - 1)[joined], run_of[ahead[joined]]
     root = np.arange(run[-1] + 1)
@@ -455,10 +435,13 @@ def detect_dichotomy(masks: list, base: StiffnessOperator) -> DichotomyReport:
     Compactness needs the recentered torsion functions to be Cauchy in L2.
     Each tail mask is restricted once, and the gap, lambda_1 and torsion
     all read that operator; torsions are solved only when no dichotomy
-    verdict is found.
+    verdict is found.  A sequence of one mask has no tail to judge and
+    reads inconclusive.
     """
     if not masks:
         raise ParameterError("detect_dichotomy needs at least one mask")
+    if len(masks) < 2:
+        return DichotomyReport("inconclusive", [], [], [])
     ops = [restrict(base, mk) for mk in masks[-max(2, len(masks) // 3):]]
     centers = base.grid.cell_centers
     analyses = [_analyze_mask(op, centers) for op in ops]

@@ -125,6 +125,18 @@ def test_run_minimize(tmp_path):
         assert summary["verdict"] in ("compactness", "dichotomy", "inconclusive")
 
 
+def test_minimize_full_box_verdict_is_inconclusive(tmp_path):
+    # a full box admits no move, so the walk has one snapshot and no tail;
+    # at the parent its summary read "compactness"
+    cfg = {"grid": {"dim": 1, "half_width": 2.0, "resolution": 16}, "s": 0.5,
+           "volume_cells": 16, "iterations": 5, "seeds": [0],
+           "functional": {"name": "l1", "k": 1, "combiner": "l1"}}
+    run_experiment("minimize", cfg, tmp_path)
+    assert len((tmp_path / "trajectory_seed0.jsonl").read_text().splitlines()) == 1
+    summary = json.loads((tmp_path / "summary_seed0.json").read_text())
+    assert summary["verdict"] == "inconclusive" and summary["separations"] == []
+
+
 def test_run_classify(tmp_path):
     cfg = {"generator": "translating-bump", "seeds": [0], "length": 8}
     run_experiment("classify", cfg, tmp_path)

@@ -1,7 +1,10 @@
+import ast
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from fracshape import shapeopt, solvers
@@ -41,6 +44,77 @@ def test_grammar_accepts_monotone_expressions():
 def test_grammar_rejects(expr):
     with pytest.raises(ParameterError):
         make_functional("f", 2, expr)
+
+
+def _combiners(k):
+    """In-grammar combiners over l1..lk: constants, sums, positive scalings
+    (the constant on either side) and max calls.  Integer constants stay
+    small, so that every integer a constant subtree reaches is below 2^53
+    and Python's exact integer arithmetic agrees with float arithmetic."""
+    nonnegative = st.one_of(st.integers(0, 20).map(str), st.floats(0.0, 1e3).map(repr))
+    positive = st.one_of(st.integers(1, 20).map(str), st.floats(1e-3, 1e3).map(repr))
+
+    def scaled(t):
+        const, child, const_right = t
+        # a bare constant on the left would be read as the scaling constant
+        if const_right and not child[0].isdigit():
+            return f"({child} * {const})"
+        return f"({const} * {child})"
+
+    def grow(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda ab: f"({ab[0]} + {ab[1]})"),
+            st.tuples(positive, children, st.booleans()).map(scaled),
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda args: f"max({', '.join(args)})"))
+
+    leaves = st.one_of(st.integers(1, k).map(lambda j: f"l{j}"), nonnegative)
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+def _matches_python_eval(evaluator_of, phases=tuple(Phase)):
+    """Property: on random in-grammar combiners and eigenvalue vectors with
+    +inf entries, `evaluator_of(k, combiner)` equals Python's own eval of
+    the validated AST, with only max in scope, cast to float, to the bit."""
+    eigenvalue = st.one_of(st.just(np.inf), st.floats(1e-3, 1e6))
+
+    @settings(max_examples=100, deadline=None, phases=phases)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 4))
+        combiner = data.draw(_combiners(k))
+        lam = np.array(data.draw(st.lists(eigenvalue, min_size=k, max_size=k)))
+        code = compile(ast.parse(combiner, mode="eval"), "<combiner>", "eval")
+        # max over its arguments, so that the grammar's one-argument max
+        # evaluates too
+        scope = {"__builtins__": {}, "max": lambda *args: max(args)}
+        expected = float(eval(code, scope, {f"l{j + 1}": float(v) for j, v in enumerate(lam)}))
+        value = evaluator_of(k, combiner)(lam)
+        assert type(value) is float and value.hex() == expected.hex()
+
+    check()
+
+
+def test_evaluator_matches_python_eval():
+    _matches_python_eval(lambda k, combiner: make_functional("f", k, combiner)._evaluate)
+
+
+class _AddToMax(ast.NodeTransformer):
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Add):
+            return ast.Call(ast.Name("max", ast.Load()), [node.left, node.right], [])
+        return node
+
+
+def test_evaluator_comparison_can_fail():
+    # negative control: an evaluator that takes max for + must be caught
+    def swapped(k, combiner):
+        tree = ast.fix_missing_locations(_AddToMax().visit(ast.parse(combiner, mode="eval")))
+        return make_functional("f", k, ast.unparse(tree))._evaluate
+
+    with pytest.raises(AssertionError):
+        _matches_python_eval(swapped, phases=[Phase.generate])
 
 
 def test_eval_functional_semantics(base_64):
@@ -291,16 +365,18 @@ def test_minimize_matches_reference_walk(walk_bases, dim, k, combiner):
 
 
 def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
-    # negative control: a count update that forgets the inserted cell
-    # leaves a stale boundary, and the walk must part from the reference
-    def forgetful(counts, neighbours, removed, inserted):
-        counts[neighbours[removed]] -= 1
+    # negative control: a boundary that omits one cell draws from the wrong
+    # set, and the walk must part from the reference
+    boundary = shapeopt._boundary
+
+    def short(cells, neighbours):
+        return boundary(cells, neighbours)[1:]
 
     base = walk_bases[1]
     spec = make_functional("l2", 2, "l2")
     c = WALK_CELLS[1] * base.grid.cell_volume
     reference = _reference_walk(spec, base, c, WALK_MOVES, seed=11)
-    monkeypatch.setattr(shapeopt, "_move_counts", forgetful)
+    monkeypatch.setattr(shapeopt, "_boundary", short)
     assert not _same_walk(minimize_shape(spec, base, c, WALK_MOVES, seed=11),
                           reference)
 
@@ -347,23 +423,23 @@ def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
 
 
 @pytest.mark.parametrize("dim, resolution, volume_cells", [(1, 24, 8), (2, 8, 12)])
-def test_counted_boundary_matches_erosion(monkeypatch, dim, resolution, volume_cells):
+def test_boundary_matches_erosion(monkeypatch, dim, resolution, volume_cells):
     # every boundary the walk draws from, each after the moves accepted so
     # far, equals the erosion boundary, on walks that reach the box edge;
     # it is computed once per visited state: at the start and after each
     # accepted move
     g = build_grid(dim, 2.0, resolution)
     base = assemble_stiffness(g, 0.5)
-    counted = shapeopt._counted_boundary
+    boundary_of = shapeopt._boundary
     seen = []
 
-    def checked(cells_now, counts, d):
-        boundary = counted(cells_now, counts, d)
+    def checked(cells_now, neighbours):
+        boundary = boundary_of(cells_now, neighbours)
         assert np.array_equal(boundary, _erosion_boundary(g, cells_now))
         seen.append(boundary)
         return boundary
 
-    monkeypatch.setattr(shapeopt, "_counted_boundary", checked)
+    monkeypatch.setattr(shapeopt, "_boundary", checked)
     spec = make_functional("l1", 1, "l1")
     accepted = 0
     for seed in range(3):
@@ -408,6 +484,16 @@ def test_detect_dichotomy_on_receding_pair(base_512):
     for v1, v2 in rep.component_volumes:
         assert v1 == pytest.approx(16 * g.cell_volume)
         assert v2 == pytest.approx(16 * g.cell_volume)
+
+
+def test_detect_dichotomy_needs_two_masks(base_512):
+    # one mask is no tail to judge: at the parent, one two-interval mask
+    # read dichotomy and one ball compactness
+    g = base_512.grid
+    ball = ball_mask(g, [0.0], 32 * g.cell_volume)
+    for mask in (_two_ball_mask(g, 16), ball):
+        rep = detect_dichotomy([mask], base_512)
+        assert rep.verdict == "inconclusive" and rep.separations == []
 
 
 def test_detect_compactness_on_constant_ball(base_512):

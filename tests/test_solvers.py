@@ -486,16 +486,50 @@ def test_residual_checks_fail_on_nan(base_64, monkeypatch):
                         lambda self, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(NumericError):
         solve_torsion(op)
-    # NaN solves, or NaN factors under exact solves, give a NaN resolvent
-    # difference, for which dsyevr reports info != 0
-    with pytest.raises(NumericError, match="dsyevr"):
+    # NaN solves, or NaN factors under exact solves, give a NaN probe
+    # residual in a resolvent gap
+    with pytest.raises(NumericError, match="residual tolerance: nan"):
         resolvent_norm_diff(op, None)
     monkeypatch.undo()
     monkeypatch.setattr(solvers, "_potrf", lambda a_mat: np.full_like(a_mat, np.nan))
     for indices in (range(20, 44), range(20, 45)):     # parity blocks, direct path
         fresh = restrict(base_64, mask_from_indices(base_64.grid, indices))
-        with pytest.raises(NumericError, match="dsyevr"):
+        with pytest.raises(NumericError, match="residual tolerance: nan"):
             resolvent_norm_diff(fresh, None)
+    # and the gap's dsyevr call reports info != 0 on a NaN difference
+    with pytest.raises(NumericError, match="dsyevr"):
+        solvers._syevr(np.full((24, 24), np.nan), compute_v=0, range="A")
+
+
+def test_gap_residual_check_can_fail(base_64, monkeypatch):
+    # every dpotrf fed A (1 + 1e-6): the gap's identity-column solves must
+    # miss SOLVE_RTOL, on a direct-path and on a reflection-symmetric mask
+    g = base_64.grid
+    exact_potrf = solvers._potrf
+    monkeypatch.setattr(solvers, "_potrf", lambda a_mat: exact_potrf((1 + 1e-6) * a_mat))
+    for outer, symmetric in ((range(12, 50), False), (range(8, 56), True)):
+        op_a = restrict(base_64, mask_from_indices(g, outer))
+        op_b = restrict(base_64, mask_from_indices(g, range(14, 44)))
+        assert bool(op_a._mirror_axes) == symmetric
+        with pytest.raises(NumericError, match="residual tolerance") as err:
+            resolvent_norm_diff(op_a, op_b)
+        assert err.value.achieved == pytest.approx(1e-6, rel=1e-3)
+    # on a full square, a perturbation confined to the all-odd,
+    # transpose-odd block, which a linear-ramp probe would not reach
+    monkeypatch.undo()
+    base = assemble_stiffness(build_grid(2, 2.0, 16), 0.5)
+    op = restrict(base, full_mask(base.grid))
+    assert op._parity[-1].signs == (1, -1, -1, 1, -1, 1, 1, -1)
+    resolvent_norm_diff(op, None)
+    exact_block = DirichletOperator._block
+
+    def bad_block(self, blk):
+        scale = 1 + 1e-6 if blk is self._parity[-1] else 1.0
+        return scale * exact_block(self, blk)
+
+    monkeypatch.setattr(DirichletOperator, "_block", bad_block)
+    with pytest.raises(NumericError, match="residual tolerance"):
+        resolvent_norm_diff(restrict(base, full_mask(base.grid)), None)
 
 
 def test_resolvent_norm_diff_vs_empty(base_64):
