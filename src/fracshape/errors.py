@@ -34,9 +34,10 @@ class DomainEmptyError(FracshapeError):
 
 
 class NumericError(FracshapeError):
-    """A numerical check failed: LAPACK returned info != 0, a solve or an
-    eigenpair missed its residual tolerance, or merged eigenvectors are
-    not orthonormal."""
+    """A numerical check failed: LAPACK returned info != 0 (info < 0 for
+    the inertia count's dsytrf, whose info > 0 only withholds the count),
+    a solve or an eigenpair missed its residual tolerance, or merged
+    eigenvectors are not orthonormal."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -19,13 +19,18 @@ from .errors import ParameterError
 from .forms import StiffnessOperator, assemble_stiffness
 from .grid import (DomainMask, Grid, GridFunction, _is_int, distances_from,
                    l2_distance, mask_from_indices, min_pair_distance)
-from .solvers import (DirichletOperator, TorsionFunction, _lowest_eigh, _reflection_axes,
-                      eigenpairs, eigenvalues_or_inf, resolvent_norm_diff, restrict,
-                      solve_torsion)
+from .solvers import (EIG_RTOL, DirichletOperator, TorsionFunction, _count_below,
+                      _lowest_eigh, _reflection_axes, eigenpairs, eigenvalues_or_inf,
+                      resolvent_norm_diff, restrict, solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
 CAUCHY_FRACTION = 0.02          # relative torsion spread for a compactness verdict
+SCREEN_NATS = 20.0              # the walk's screen certifies dJ >= SCREEN_NATS * T
+_SCREEN_P = float(np.exp(1.0 - SCREEN_NATS))   # draws at or above it reject
+_SCREEN_MARGIN = 1.0 + 4.0 * EIG_RTOL           # relative margin of the screen's shift
+_SCREEN_BREAK_EVEN = 0.25      # certifying share below which the screen only probes
+_SCREEN_PROBE = 16              # ... and tries one new mask in this many
 
 
 # --- functional grammar -------------------------------------------------------
@@ -50,7 +55,12 @@ def _compile_node(node, k: int) -> Callable:
     """Check a combiner node against the grammar and return its evaluator,
     a function of the eigenvalue vector."""
     if _is_constant(node):
-        value = float(node.value)
+        try:
+            value = float(node.value)
+        except OverflowError:     # an integer literal past the float range
+            value = np.inf
+        if isinstance(node.value, bool) or not np.isfinite(value):
+            raise ParameterError(f"constants must be finite numbers, got {node.value!r:.40}")
         return lambda lam: value
     if isinstance(node, ast.Name):
         if node.id.startswith("l") and node.id[1:].isdigit():
@@ -77,14 +87,21 @@ def _compile_node(node, k: int) -> Callable:
 
 
 def make_functional(name: str, k: int, combiner: str) -> FunctionalSpec:
+    """The functional `combiner` over l1..lk, checked and compiled.
+
+    Constants must be finite numbers, not booleans, so that J is finite
+    and monotone wherever its eigenvalues are finite, which the annealing
+    walk's screen relies on.  A combiner error names the field `combiner`.
+    """
     if not (_is_int(k) and k >= 1):
         raise ParameterError(f"k must be an integer >= 1, got {k}")
     try:
-        tree = ast.parse(combiner, mode="eval")
+        evaluate = _compile_node(ast.parse(combiner, mode="eval").body, int(k))
     except SyntaxError as exc:
-        raise ParameterError(f"combiner does not parse: {exc}") from exc
-    return FunctionalSpec(k=int(k), combiner=combiner, name=name,
-                          _evaluate=_compile_node(tree.body, int(k)))
+        raise ParameterError(f"combiner does not parse: {exc}", field="combiner") from exc
+    except ParameterError as exc:
+        raise ParameterError(str(exc), field="combiner") from None
+    return FunctionalSpec(k=int(k), combiner=combiner, name=name, _evaluate=evaluate)
 
 
 def eval_functional(spec: FunctionalSpec, base: StiffnessOperator,
@@ -223,16 +240,32 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     A move does only what its value needs.  The boundary (`_boundary`) and
     the inactive list are functions of the mask alone, recomputed at the
     start and after each accepted move, since a rejected move restores the
-    mask.  A mask is solved once per walk: J is memoized on the mask's
-    packed bits, in a dict dropped when the walk returns.  A new mask's
-    matrix is one gather of A's couplings on the sorted active cells, and
-    its eigenvalues come from `solvers._lowest_eigh`, the LAPACK call and
-    residual check that `eigenpairs` makes on a mask no axis reflection of
-    the box maps onto itself; the functional's compiled evaluator turns
-    them into J.  A mask that one does is valued by `eval_functional`
-    itself, on `eigenpairs`' parity blocks.  So every value is
-    `eval_functional`'s to the bit, and a walk is the same for a given
-    seed as one built from `eval_functional` and a morphological boundary.
+    mask.  A mask is solved at most once per walk: J and the eigenvalues
+    are memoized on the mask's packed bits, in a dict dropped when the
+    walk returns.  A new mask's matrix is one gather of A's couplings on
+    the sorted active cells, and its eigenvalues come from
+    `solvers._lowest_eigh`, the LAPACK call and residual check that
+    `eigenpairs` makes on a mask no axis reflection of the box maps onto
+    itself; the functional's compiled evaluator turns them into J.  A mask
+    that one does goes to `eigenvalues_or_inf`, which solves it on
+    `eigenpairs`' parity blocks.  So every value is `eval_functional`'s to
+    the bit, and a walk is the same for a given seed as one built from
+    `eval_functional` and a morphological boundary.
+
+    Most uphill moves are rejected without an eigensolve.  Before solving
+    a new mask, the walk picks a shift sigma from the current J and T and
+    `solvers._count_below` counts the nu eigenvalues under it, by the
+    inertia of one LDL^T factor.  J is monotone and every lambda_j is
+    positive, so the new J is at least J of the bounds 0 for
+    lambda_1..lambda_nu and sigma for the rest; for J = l_k that is sigma
+    whenever nu < k.  When that bound certifies dJ >= SCREEN_NATS * T, the
+    walk draws the uniform number that the exact test would draw; a draw
+    of at least e^(1 - SCREEN_NATS) rejects the move, as exp(-dJ / T)
+    would, and a smaller one solves the mask and decides exactly.
+    Certified bounds are remembered per mask beside the values, so a
+    revisit is a lookup either way.  Every value that decides a move is
+    still solved and checked, and the walk, its random stream and its
+    values are the same as without the screen.
     """
     grid = base.grid
     m = int(round(c / grid.cell_volume))
@@ -252,23 +285,89 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     kk = min(spec.k, m)
     beyond = np.full(spec.k - kk, np.inf)   # lambda_j = +inf for j > m
 
-    memo = {}   # packed mask bits -> J, for this walk only
+    memo = {}     # packed mask bits -> (J, lambda_1..lambda_k), for this walk only
+    floors = {}   # packed mask bits -> certified lower bound on J, unsolved masks
 
-    def evaluate() -> float:
-        key = np.packbits(cells).tobytes()
-        value = memo.get(key)
-        if value is None and _reflection_axes(cells, grid.shape):
-            value = memo[key] = eval_functional(spec, base, DomainMask(grid, cells.copy()))
-        elif value is None:
-            a = np.flatnonzero(cells)
-            mu = _lowest_eigh(base.submatrix(a), kk)[0]
-            value = memo[key] = spec._evaluate(np.concatenate([mu / h_meas, beyond]))
-        return value
+    def evaluate(key: bytes, mat: np.ndarray | None = None) -> tuple:
+        """(J, lambda_1..lambda_k) of the current mask, whose packed bits
+        are `key`; `mat` is its matrix, when the screen has gathered it."""
+        found = memo.get(key)
+        if found is None:
+            if _reflection_axes(cells, grid.shape):
+                lam = eigenvalues_or_inf(base, DomainMask(grid, cells.copy()), spec.k)
+            else:
+                if mat is None:
+                    mat = base.submatrix(np.flatnonzero(cells))
+                lam = np.concatenate([_lowest_eigh(mat, kk)[0] / h_meas, beyond])
+            found = memo[key] = (spec._evaluate(lam), lam)
+        return found
+
+    # The screen's bounds: with nu eigenvalues below sigma, J >= g(sigma,
+    # nu), J of the bounds 0 for lambda_1..lambda_nu and sigma for the
+    # rest, as J is monotone and each lambda_j is positive.  Each g(., nu)
+    # is convex and piecewise linear (J is built from +, max and positive
+    # scalings), so it lies above its chord through `top` and 2 `top`,
+    # where `top` bounds every eigenvalue of every mask (the trace of its
+    # matrix is at most m max(diag)).  The screen runs when J is finite up
+    # to 2 `top`, so that every dJ is finite, on the chords that grow.
+    top = m * float(base.diag.max()) / h_meas
+    bounds = np.empty(spec.k)
+
+    def g(sigma: float, nu: int) -> float:
+        bounds[:nu] = 0.0
+        bounds[nu:] = sigma
+        return spec._evaluate(bounds)
+
+    chords = [(nu, slope, g(top, nu) - slope * top) for nu in range(spec.k)
+              for slope in [(g(2 * top, nu) - g(top, nu)) / top] if slope > 0]
+    screens = bool(chords) and kk == spec.k and np.isfinite(g(2 * top, 0))
+
+    rate = 1.0   # running share of factorizations that certified
+    idle = 0     # new masks solved without a factorization since the last
+
+    def certified(key: bytes, value: float, lam: np.ndarray, temp: float) -> tuple:
+        """(whether J - value >= SCREEN_NATS * temp is certified for the
+        current mask without solving it, its matrix if gathered); `value`
+        and `lam` are J and the eigenvalues of the mask before the move.
+
+        A factorization costs a quarter to a third of a solve, so while
+        the running share of factorizations that certified (weight 1/8) is
+        under _SCREEN_BREAK_EVEN, only every _SCREEN_PROBE-th new mask
+        tries one: a hot walk, or a functional that one shift bounds
+        poorly, pays little for the screen."""
+        nonlocal rate, idle
+        if key in memo:
+            return False, None
+        lower = floors.get(key)
+        if lower is not None and (lower - value) / temp >= SCREEN_NATS:
+            return True, None
+        if rate < _SCREEN_BREAK_EVEN and idle < _SCREEN_PROBE - 1:
+            idle += 1
+            return False, None
+        idle = 0
+        mat = base.submatrix(np.flatnonzero(cells))
+        target = value + SCREEN_NATS * temp
+        # the chord whose sigma asks the least rise of the eigenvalue it
+        # bounds; the margin covers rounding: the chord's, then that of
+        # dsytrf's inertia and of the solved eigenvalues, of order
+        # n eps ||A|| / lambda_1, under 1e-12 on a 200-cell 2D disc
+        nu, slope, offset = min(chords, key=lambda c: (target - c[2]) / c[1] / lam[c[0]])
+        sigma = (target - offset) / slope * _SCREEN_MARGIN
+        if not ((g(sigma, nu) - value) / temp >= SCREEN_NATS and sigma < top):
+            return False, mat
+        below = _count_below(mat, sigma * h_meas * _SCREEN_MARGIN)
+        lower = -np.inf if below is None else g(sigma, min(below, spec.k))
+        if not (lower - value) / temp >= SCREEN_NATS:
+            rate -= rate / 8
+            return False, mat
+        rate += (1.0 - rate) / 8
+        floors[key] = lower
+        return True, mat
 
     neighbours = _neighbour_table(grid)
     boundary = _boundary(cells, neighbours)
     inactive = np.flatnonzero(~cells)
-    value = evaluate()
+    value, lam = evaluate(np.packbits(cells).tobytes())
     t0 = schedule.t0_factor * abs(value) if np.isfinite(value) else 1.0
     masks = [DomainMask(grid, cells.copy())]
     values = [value]
@@ -281,15 +380,24 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         in_cell = int(inactive[rng.integers(inactive.size)])
         cells[out_cell] = False
         cells[in_cell] = True
-        new_value = evaluate()
-        delta = new_value - value
+        key = np.packbits(cells).tobytes()
         temp = t0 * schedule.decay ** j
-        accept = delta < 0 or (temp > 0 and np.isfinite(delta)
-                               and rng.random() < np.exp(-delta / temp))
+        sure, mat = certified(key, value, lam, temp) if screens and temp > 0 else (False, None)
+        # a certified move has dJ > 0, so the exact test below would draw
+        # this same number; rejecting at u >= e^(1 - SCREEN_NATS) is what
+        # it would do, with a nat to spare for the rounding of exp
+        u = rng.random() if sure else None
+        accept = False
+        if u is None or u < _SCREEN_P:
+            new_value, new_lam = evaluate(key, mat)
+            delta = new_value - value
+            accept = delta < 0 or (temp > 0 and np.isfinite(delta)
+                                   and (rng.random() if u is None else u)
+                                   < np.exp(-delta / temp))
         if accept:
             boundary = _boundary(cells, neighbours)
             inactive = np.flatnonzero(~cells)
-            value = new_value
+            value, lam = new_value, new_lam
             move_log.append({"iteration": j, "removed": out_cell,
                              "inserted": in_cell, "value": value})
             if value < best:

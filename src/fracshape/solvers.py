@@ -14,6 +14,10 @@ systems and resolvents (`solve` on identity columns) go through one cached
 norms through one `dsyevr` helper.  The calls are the wrappers' own, so the
 results are the same to the bit.  LAPACK does not check for NaN; every
 result is checked against a residual tolerance instead, which a NaN fails.
+One more driver answers a cheaper question: `dsytrf`, the Bunch-Kaufman
+LDL^T factor of a shifted matrix, counts the eigenvalues below the shift
+(Sylvester's law of inertia), which lets the annealing walk reject most
+uphill moves without an eigensolve.
 
 A mask that some axis reflections of the box map onto itself is solved one
 parity block at a time.  A's couplings depend only on cell offsets and its
@@ -56,9 +60,10 @@ from .grid import DomainMask, GridFunction, l2_distance, row_blocks
 SOLVE_RTOL = 1e-10
 EIG_RTOL = 1e-8
 DUALITY_SEED = 0x5EED   # fixed test function of the duality identity
-# the LAPACK drivers behind scipy.linalg.eigh/eigvalsh and cho_factor/cho_solve
-_SYEVR, _SYEVR_LWORK, _POTRF, _POTRS = get_lapack_funcs(
-    ("syevr", "syevr_lwork", "potrf", "potrs"), dtype=np.float64)
+# the LAPACK drivers behind scipy.linalg.eigh/eigvalsh and cho_factor/cho_solve,
+# and the symmetric indefinite factor behind scipy.linalg.ldl
+_SYEVR, _SYEVR_LWORK, _POTRF, _POTRS, _SYTRF, _SYTRF_LWORK = get_lapack_funcs(
+    ("syevr", "syevr_lwork", "potrf", "potrs", "sytrf", "sytrf_lwork"), dtype=np.float64)
 # the fixed probe of the resolvent-gap residual check, read on a mask's
 # first m active cells: seeded normal entries reach every parity block,
 # where a linear ramp misses a 2D mask's all-odd ones
@@ -470,6 +475,41 @@ def _syevr(a_mat: np.ndarray, **kw) -> tuple:
     if info != 0:
         raise NumericError(f"dsyevr failed: info = {info}")
     return w, v
+
+
+@cache
+def _sytrf_workspace(n: int) -> int:
+    """LAPACK's optimal lwork of dsytrf at size n."""
+    work, info = _SYTRF_LWORK(n, lower=0)
+    if info != 0:
+        raise NumericError(f"dsytrf workspace query failed: info = {info}")
+    return int(work)
+
+
+def _count_below(a_mat: np.ndarray, shift: float) -> int | None:
+    """Number of eigenvalues of the symmetric a_mat below `shift`, or None
+    when that count is not certain.
+
+    By Sylvester's law of inertia it is the number of negative eigenvalues
+    of D in the Bunch-Kaufman factor L D L^T of a_mat - shift I (dsytrf, on
+    a shifted copy).  D's 1x1 blocks are the entries with ipiv > 0; its 2x2
+    blocks, the pairs with ipiv < 0, have a negative determinant by the
+    pivot rule, so each holds one negative eigenvalue.
+    An exactly zero pivot (info > 0: the shift may be an eigenvalue) and a
+    non-finite diagonal of D, which a NaN entry leaves, give None.
+    """
+    n = a_mat.shape[0]
+    shifted = a_mat.copy()
+    shifted.reshape(-1)[::n + 1] -= shift
+    # the transpose is Fortran-ordered, so dsytrf factors it in place; its
+    # upper triangle is a_mat's lower one, the triangle dsyevr reads
+    ldu, ipiv, info = _SYTRF(shifted.T, lower=0, lwork=_sytrf_workspace(n), overwrite_a=1)
+    if info < 0:
+        raise NumericError(f"dsytrf failed: info = {info}")
+    d = ldu.diagonal()
+    if info > 0 or not np.isfinite(d.sum()):
+        return None
+    return int(np.count_nonzero(d[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2)
 
 
 def _lowest_eigh(a_mat: np.ndarray, k: int) -> tuple:

@@ -483,6 +483,15 @@ CLASSIFY = {"generator": "translating-bump", "seeds": [0]}
     pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
                                   functional={"name": "l1", "k": 1, "combiner": 5}),
                  "functional.combiner", id="functional-combiner-number"),
+    # at the parent accepted: an infinite constant made every J +inf and the
+    # walk made no move; a boolean read as 0 or 1
+    *(pytest.param("minimize", dict(MINIMIZE, volume_cells=8,
+                                    functional={"name": "f", "k": 1, "combiner": combiner}),
+                   "functional.combiner", id=f"functional-combiner-{label}")
+      for label, combiner in (("inf-scale", "1e309 * l1"), ("inf-sum", "1e309 + l1"),
+                              ("true-sum", "True + l1"), ("true-scale", "True * l1"),
+                              ("false-max", "max(l1, False)"),
+                              ("int-past-float", "1" + "0" * 400 + " * l1"))),
     pytest.param("classify", dict(CLASSIFY, generator=["translating-bump"]), "generator",
                  id="classify-generator-list"),
     # at the parent accepted: an extra key ignored, any JSON value as a name,

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 from fracshape import shapeopt, solvers
 from fracshape.errors import NumericError, ParameterError
-from fracshape.forms import assemble_stiffness
+from fracshape.forms import StiffnessOperator, assemble_stiffness
 from fracshape.grid import (DomainMask, GridFunction, build_grid, empty_mask,
                             full_mask, mask_from_indices, min_pair_distance)
 from fracshape.shapeopt import (AnnealingSchedule, ball_mask,
@@ -351,17 +351,76 @@ WALK_CELLS = {1: 24, 2: 20}
 WALK_MOVES = 1000
 
 
+def _screen_record(monkeypatch):
+    """Record the masks a walk solves (a list, in order) and the masks
+    its screen certifies (a set), as packed cell bytes.  A matrix is traced
+    to its mask through `StiffnessOperator.submatrix`: the walk factors or
+    solves the matrix it gathered last.  A certificate is a count below
+    the shift of under k = 2, which for l2 is what the screen needs."""
+    last, solved, certified = [], [], set()
+    submatrix = StiffnessOperator.submatrix
+
+    def gather(self, cells):
+        mask = np.zeros(self.grid.n_cells, dtype=bool)
+        mask[cells] = True
+        last[:] = [submatrix(self, cells), mask.tobytes()]
+        return last[0]
+
+    def mask_of(a_mat):
+        assert a_mat is last[0]
+        return last[1]
+
+    lowest, count = shapeopt._lowest_eigh, shapeopt._count_below
+    symmetric = shapeopt.eigenvalues_or_inf
+
+    def solve(a_mat, k):
+        solved.append(mask_of(a_mat))
+        return lowest(a_mat, k)
+
+    def screen(a_mat, shift):
+        below = count(a_mat, shift)
+        if below is not None and below < 2:
+            certified.add(mask_of(a_mat))
+        return below
+
+    def solve_symmetric(base, mask, k):
+        solved.append(mask.cells.tobytes())
+        return symmetric(base, mask, k)
+
+    monkeypatch.setattr(StiffnessOperator, "submatrix", gather)
+    monkeypatch.setattr(shapeopt, "_lowest_eigh", solve)
+    monkeypatch.setattr(shapeopt, "_count_below", screen)
+    monkeypatch.setattr(shapeopt, "eigenvalues_or_inf", solve_symmetric)
+    return solved, certified
+
+
+REFERENCE_WALKS = [(1, "l1"), (2, "l2"), (3, "max(l1, 0.5 * l3) + l2")]
+# fast cooling reaches the cold end, where the screen certifies most
+# uphill moves, within the walk's 1,000 moves
+SCREENED_WALKS = [(1, "l1"), (2, "l2"), (3, "l3"), (2, "2 * l2"), (2, "l1 + l2"),
+                  (2, "max(l1, 0.5 * l2)")]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("k, combiner", [(1, "l1"), (2, "l2"),
-                                         (3, "max(l1, 0.5 * l3) + l2")])
-def test_minimize_matches_reference_walk(walk_bases, dim, k, combiner):
-    # the lean loop must reproduce the public-piece walk to the bit
+@pytest.mark.parametrize("k, combiner, decay",
+                         [pytest.param(k, f, 0.995, id=f"{k}-{f}") for k, f in REFERENCE_WALKS]
+                         + [pytest.param(k, f, 0.99, id=f"{k}-{f}-fast")
+                            for k, f in SCREENED_WALKS])
+def test_minimize_matches_reference_walk(walk_bases, monkeypatch, dim, k, combiner, decay):
+    # the lean loop must reproduce the public-piece walk to the bit; on the
+    # fast-cooling schedule its screen must have skipped some eigensolves
     base = walk_bases[dim]
     spec = make_functional("f", k, combiner)
     c = WALK_CELLS[dim] * base.grid.cell_volume
-    traj = minimize_shape(spec, base, c, WALK_MOVES, seed=11)
+    schedule = AnnealingSchedule(decay=decay)
+    evaluated = set()
+    reference = _reference_walk(spec, base, c, WALK_MOVES, 11, schedule, evaluated)
+    solved, _ = _screen_record(monkeypatch)
+    traj = minimize_shape(spec, base, c, WALK_MOVES, seed=11, schedule=schedule)
     assert len(traj.move_log) > 50
-    assert _same_walk(traj, _reference_walk(spec, base, c, WALK_MOVES, seed=11))
+    assert _same_walk(traj, reference)
+    if decay < 0.995:
+        assert len(solved) < len(evaluated)
 
 
 def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
@@ -381,6 +440,32 @@ def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
                           reference)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("fault", ["count-off-by-one", "no-temperature-margin"])
+def test_screen_faults_part_from_reference(walk_bases, monkeypatch, dim, fault):
+    # negative controls of the screen on the fast-cooling walks: a count
+    # one short (certifying lambda_k >= sigma from k eigenvalues below it),
+    # or a screen that certifies only dJ >= 0 and still rejects draws of at
+    # least e^(1 - 20), must reject moves the exact test accepts
+    base = walk_bases[dim]
+    spec = make_functional("l2", 2, "l2")
+    c = WALK_CELLS[dim] * base.grid.cell_volume
+    schedule = AnnealingSchedule(decay=0.99)
+    reference = _reference_walk(spec, base, c, WALK_MOVES, 11, schedule)
+    if fault == "count-off-by-one":
+        count = shapeopt._count_below
+
+        def short(a_mat, shift):
+            below = count(a_mat, shift)
+            return below if below is None else max(below - 1, 0)
+
+        monkeypatch.setattr(shapeopt, "_count_below", short)
+    else:
+        monkeypatch.setattr(shapeopt, "SCREEN_NATS", 0.0)
+    assert not _same_walk(minimize_shape(spec, base, c, WALK_MOVES, 11, schedule),
+                          reference)
+
+
 def _counted(monkeypatch, name):
     """Record the arguments of every call to shapeopt's `name`."""
     calls = []
@@ -396,9 +481,10 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
-    # the walk-local memo: one eigensolve per distinct mask, on the
+    # the walk-local memo: at most one eigensolve per distinct mask, on the
     # anneal-1d grid and functional (1D) and on 2D 16², while the walk
-    # still matches its reference; and no torsion solve, which only the
+    # still matches its reference; every mask it visits and does not solve
+    # was certified by the screen; and no torsion solve, which only the
     # dichotomy detector needs (at the parent the walk solved one per
     # improvement snapshot)
     base = walk_bases[dim]
@@ -407,19 +493,24 @@ def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
     evaluated = set()
     reference = _reference_walk(spec, base, c, WALK_MOVES, seed=11,
                                 evaluated=evaluated)
-    calls = []
-    solve = shapeopt._lowest_eigh
-
-    def counted(a_mat, k):
-        calls.append(a_mat.shape[0])
-        return solve(a_mat, k)
-
-    monkeypatch.setattr(shapeopt, "_lowest_eigh", counted)
+    solved, certified = _screen_record(monkeypatch)
     torsions = _counted(monkeypatch, "solve_torsion")
     traj = minimize_shape(spec, base, c, WALK_MOVES, seed=11)
     assert _same_walk(traj, reference)
-    assert len(calls) == len(evaluated) < WALK_MOVES + 1
+    assert len(solved) == len(set(solved)) and set(solved) <= evaluated
+    assert evaluated - set(solved) <= certified
     assert len(traj.masks) > 10 and torsions == []
+
+
+def test_screen_skips_most_eigensolves_on_the_readme_walk(monkeypatch):
+    # the README's minimize config (l2, seed 0, 10,000 moves): the screen
+    # leaves at most a third of the distinct masks valued to an eigensolve
+    # (the walk without it solves every one)
+    base = assemble_stiffness(build_grid(1, 8.0, 128), 0.5)
+    spec = make_functional("l2", 2, "l2")
+    solved, certified = _screen_record(monkeypatch)
+    minimize_shape(spec, base, 24 * base.grid.cell_volume, 10000, seed=0)
+    assert 3 * len(solved) <= len(set(solved) | certified)
 
 
 @pytest.mark.parametrize("dim, resolution, volume_cells", [(1, 24, 8), (2, 8, 12)])

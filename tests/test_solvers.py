@@ -351,6 +351,56 @@ def test_lowest_eigh_is_scipy_eigh_to_the_bit(base_64, base_2d):
             assert np.all(residuals <= solvers.EIG_RTOL)
 
 
+def _inertia_cases():
+    """(matrix, shift, whether dsytrf makes a 2x2 pivot) on random SPD
+    matrices of 24 and 200 rows, with shifts below, between and above
+    their eigenvalues, and on a zero-diagonal indefinite matrix."""
+    rng = np.random.default_rng(29)
+    for n in (24, 200):
+        b = rng.standard_normal((n, n))
+        a_mat = b @ b.T + 1e-3 * n * np.eye(n)
+        w = eigvalsh(a_mat)
+        for shift in [w[0] / 2, w[-1] + 1.0, *((w[:-1] + w[1:])[::n // 8] / 2)]:
+            yield a_mat, shift
+    b = np.triu(rng.standard_normal((12, 12)), 1)
+    a_mat = b + b.T
+    assert (solvers._SYTRF(a_mat, lower=1)[1] < 0).any()   # Bunch-Kaufman 2x2 pivots
+    w = eigvalsh(a_mat)
+    for shift in (0.0, *((w[:-1] + w[1:]) / 2)):
+        yield a_mat, shift
+
+
+def _counts_inertia(count_below) -> bool:
+    return all(count_below(a_mat, shift) == np.count_nonzero(eigvalsh(a_mat) < shift)
+               for a_mat, shift in _inertia_cases())
+
+
+def test_count_below_is_eigvalsh_count():
+    # the inertia of the shifted LDL^T counts the eigenvalues under the shift
+    assert _counts_inertia(solvers._count_below)
+
+
+def test_inertia_comparison_can_fail():
+    # negative control: a count that reads only the 1x1 pivots of D, and so
+    # misses the negative eigenvalue of each 2x2 block, must be caught
+    def ones_only(a_mat, shift):
+        ldu, ipiv, _ = solvers._SYTRF(a_mat - shift * np.eye(len(a_mat)), lower=1)
+        return np.count_nonzero(ldu.diagonal()[ipiv > 0] < 0)
+
+    assert not _counts_inertia(ones_only)
+
+
+def test_count_below_withholds_an_uncertain_count():
+    # a shift that is an eigenvalue leaves an exactly zero pivot (dsytrf's
+    # info > 0), and a NaN entry a NaN pivot: neither gives a count
+    assert solvers._count_below(np.diag([1.0, 2.0, 3.0, 4.0]), 3.0) is None
+    assert solvers._count_below(np.array([[2.0, 1.0], [1.0, 2.0]]), 1.0) is None
+    assert solvers._count_below(np.array([[2.0, 1.0], [1.0, 2.0]]), 1.5) == 1
+    a_mat = 2.0 * np.eye(4) + 0.1
+    a_mat[1, 2] = a_mat[2, 1] = np.nan
+    assert solvers._count_below(a_mat, 1.0) is None
+
+
 def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
     # dpotrf/dpotrs and the eigenvalue-only dsyevr make the calls that
     # cho_factor/cho_solve and eigvalsh make: the gap is eigvalsh of the
