@@ -33,6 +33,9 @@ TRIALS = 20                    # random instances per check
 PROJECTION_PAIRS = 5           # nested pairs of the projection check ...
 PROJECTION_COMPETITORS = 20    # ... and competitors drawn per pair
 LIEB_TRIALS = 10               # mask pairs of the Lieb check
+# the operator of an audit given none: `bounds_audit(None)` and CLI `audit`
+DEFAULT_GRID = {"dim": 1, "half_width": 4.0, "resolution": 64}
+DEFAULT_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -325,10 +328,11 @@ def bounds_audit(base: StiffnessOperator | None = None, seed: int = 0,
     (base, seed): each distinct mask they draw is restricted, factored and
     solved once, and the memo is dropped on return.  Only the selected
     checks' work runs, and each result is the same to the bit as the check
-    run alone.  `checks` is validated by `select_checks`.
+    run alone.  `checks` is validated by `select_checks`.  Without `base`
+    it runs on DEFAULT_GRID at DEFAULT_S.
     """
     selected = select_checks(checks)
     if base is None:
-        base = assemble_stiffness(build_grid(1, 4.0, 64), 0.5)
+        base = assemble_stiffness(build_grid(**DEFAULT_GRID), DEFAULT_S)
     solved = _Solved(base)
     return [fn(solved, seed) for fn in selected]

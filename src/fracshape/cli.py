@@ -5,9 +5,14 @@ Every run writes its artifacts plus a manifest (config echo, versions, wall
 time, seed list, per-file sha256) into the output directory.  Identical
 configs produce byte-identical artifact files.
 
+Only the subcommands that draw (minimize, classify, lieb, audit) have a
+`seeds` field and a `--seed N` flag, which `main` merges into the config as
+`"seeds": [N]`; the others record an empty seed list.  `validate_config` is
+the one check of every field, seeds included.
+
 Every subcommand except `grid` assembles the stiffness form, whose dense
-products are n x n, so its grid may have at most forms.MAX_DENSE_CELLS
-(4,096) cells; validation rejects a larger one before any work starts.
+products are n x n, so its grid must pass forms.check_dense_budget;
+validation rejects a larger one before any work starts.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from . import audit as audit_mod
 from . import concentration as cc
 from . import shapeopt
 from .errors import FracshapeError, ParameterError
-from .forms import MAX_DENSE_CELLS, assemble_stiffness
+from .forms import assemble_stiffness, check_dense_budget
 from .grid import (_is_int, build_grid, full_mask, grid_to_json, mask_from_indices,
                    mask_to_json)
 from .serialize import write_csv, write_json, write_manifest
@@ -118,22 +123,10 @@ def _walk(table, obj, top=None):
     return out
 
 
-def _validated(table, config) -> dict:
-    try:
-        return _walk(table, config)
-    except ParameterError as exc:
-        raise ParameterError(f"config field {exc.field!r}: {exc}", field=exc.field) from None
-
-
-def _grid(budget):
-    """build_grid's fields and rule, and at most `budget` cells."""
-    def _built(g, top):
-        grid = build_grid(**g)
-        if grid.n_cells > budget:
-            raise ParameterError(f"{grid.n_cells} cells, over the dense-assembly "
-                                 f"budget of {budget}")
-        return grid
-    return _obj({"dim": _any, "half_width": _any, "resolution": _any}, _built)
+def _grid(then):
+    """build_grid's fields and rule, then `then` on the built grid."""
+    return _obj({"dim": _any, "half_width": _any, "resolution": _any},
+                lambda g, top: then(build_grid(**g)))
 
 
 def _ball(spec, top):
@@ -194,17 +187,16 @@ def _n_cells(top):
     return top["grid"].n_cells
 
 
-_GRID, _S, _SEEDS = _grid(MAX_DENSE_CELLS), _num(0, 1), _list(_int(0))
-_DEFAULT_SEEDS = [0]
+_GRID, _S, _SEEDS = _grid(check_dense_budget), _num(0, 1), _list(_int(0))
 _SCHEDULE = {"t0_factor": (_num(0, math.inf, "[)"), shapeopt.AnnealingSchedule.t0_factor),
              "decay": (_num(0, 1, "(]"), shapeopt.AnnealingSchedule.decay)}
 
 # One table per subcommand, in validation order (see `_walk`).
 SCHEMA = {
-    "grid": {"grid": _grid(math.inf)},
+    "grid": {"grid": _grid(lambda grid: grid)},
     "eig": {"grid": _GRID, "s": _S, "mask": _mask,
-            "k": _int(1, lambda top: top["mask"].n_active), "seeds": (_SEEDS, _DEFAULT_SEEDS)},
-    "torsion": {"grid": _GRID, "s": _S, "mask": _mask, "seeds": (_SEEDS, _DEFAULT_SEEDS)},
+            "k": _int(1, lambda top: top["mask"].n_active)},
+    "torsion": {"grid": _GRID, "s": _S, "mask": _mask},
     "two-ball": {"grid": _GRID, "s": _S, "total_volume_cells": _int(2, _n_cells),
                  "distances_cells": _list(_distance)},
     "minimize": {"grid": _GRID, "s": _S, "volume_cells": _int(2, _n_cells),
@@ -222,8 +214,8 @@ SCHEMA = {
     "lieb": {"grid": _GRID, "s": _S, "trials": _int(1), "seeds": _SEEDS,
              "mask_cells_max": (_int(1, lambda top: _n_cells(top) - 2), 16),
              "mask_cells_min": (_int(1, lambda top: top["mask_cells_max"]), 4)},
-    "audit": {"grid": (_GRID, {"dim": 1, "half_width": 4.0, "resolution": 64}),
-              "s": (_S, 0.5), "seeds": (_SEEDS, _DEFAULT_SEEDS),
+    "audit": {"grid": (_GRID, audit_mod.DEFAULT_GRID), "s": (_S, audit_mod.DEFAULT_S),
+              "seeds": (_SEEDS, [0]),
               "checks": (_checks, audit_mod.check_names())},
 }
 
@@ -234,12 +226,15 @@ def validate_config(kind: str, config) -> dict:
     a ParameterError whose `field` is its dotted path."""
     if not isinstance(config, dict):
         raise ParameterError("config must be a JSON object")
-    return _validated(SCHEMA[kind], config)
+    try:
+        return _walk(SCHEMA[kind], config)
+    except ParameterError as exc:
+        raise ParameterError(f"config field {exc.field!r}: {exc}", field=exc.field) from None
 
 
 # --- subcommand runners --------------------------------------------------------
 
-def _run_grid(config, out, seeds):
+def _run_grid(config, out):
     grid = config["grid"]
     write_json(out / "grid.json", grid_to_json(grid))
     header = ["cell_index"] + [f"x{a}" for a in range(grid.dim)]
@@ -248,7 +243,7 @@ def _run_grid(config, out, seeds):
     return [out / "grid.json", out / "centers.csv"]
 
 
-def _run_eig(config, out, seeds):
+def _run_eig(config, out):
     base, mask = assemble_stiffness(config["grid"], config["s"]), config["mask"]
     spec = eigenpairs(restrict(base, mask), config["k"])
     write_json(out / "spectrum.json", {
@@ -263,7 +258,7 @@ def _run_eig(config, out, seeds):
     return files
 
 
-def _run_torsion(config, out, seeds):
+def _run_torsion(config, out):
     base, mask = assemble_stiffness(config["grid"], config["s"]), config["mask"]
     tor = solve_torsion(restrict(base, mask))
     write_json(out / "torsion.json", {"residual": tor.residual,
@@ -273,7 +268,7 @@ def _run_torsion(config, out, seeds):
     return [out / "torsion.json", out / "torsion.csv"]
 
 
-def _run_two_ball(config, out, seeds):
+def _run_two_ball(config, out):
     grid = config["grid"]
     rows = shapeopt.two_ball_experiment(
         grid, config["s"], config["total_volume_cells"] * grid.cell_volume,
@@ -283,11 +278,11 @@ def _run_two_ball(config, out, seeds):
     return [out / "table.csv"]
 
 
-def _run_minimize(config, out, seeds):
+def _run_minimize(config, out):
     grid = config["grid"]
     base = assemble_stiffness(grid, config["s"])
     files = []
-    for seed in seeds:
+    for seed in config["seeds"]:
         traj = shapeopt.minimize_shape(
             config["functional"], base, config["volume_cells"] * grid.cell_volume,
             config["iterations"], seed, config["schedule"])
@@ -306,10 +301,10 @@ def _run_minimize(config, out, seeds):
     return files
 
 
-def _run_classify(config, out, seeds):
+def _run_classify(config, out):
     gen = GENERATORS[config["generator"]]
     files = []
-    for seed in seeds:
+    for seed in config["seeds"]:
         seq = gen(seed, config["length"])
         rep = cc.classify(seq, config["epsilon_fraction"] * seq.mass_limit)
         write_json(out / f"report_seed{seed}.json", {
@@ -320,13 +315,13 @@ def _run_classify(config, out, seeds):
     return files
 
 
-def _run_lieb(config, out, seeds):
+def _run_lieb(config, out):
     grid = config["grid"]
     base = assemble_stiffness(grid, config["s"])
     lo, hi = config["mask_cells_min"], config["mask_cells_max"]
     window = max(hi + 1, grid.n_cells // 3)
     rows = []
-    for seed in seeds:
+    for seed in config["seeds"]:
         rng = np.random.default_rng(seed)
         for trial in range(config["trials"]):
             na, nb = rng.integers(lo, hi + 1, 2)
@@ -345,10 +340,10 @@ def _run_lieb(config, out, seeds):
     return [out / "results.csv", out / "summary.json"]
 
 
-def _run_audit(config, out, seeds):
+def _run_audit(config, out):
     base = assemble_stiffness(config["grid"], config["s"])
     results = []
-    for seed in seeds:
+    for seed in config["seeds"]:
         for r in audit_mod.bounds_audit(base, seed, config["checks"]):
             results.append([seed, r.name, int(r.passed), r.worst_slack])
     write_csv(out / "audit.csv", ["seed", "check", "passed", "worst_slack"],
@@ -367,20 +362,17 @@ _RUNNERS = {"grid": _run_grid, "eig": _run_eig, "torsion": _run_torsion,
             "classify": _run_classify, "lieb": _run_lieb, "audit": _run_audit}
 
 
-def run_experiment(kind: str, config: dict, out_dir, seed_override=None) -> dict:
+def run_experiment(kind: str, config: dict, out_dir) -> dict:
     """Validate, dispatch, and write artifacts plus the manifest, which
-    echoes `config` as given.  A seed override replaces the seed list and
-    passes the same rule."""
+    echoes `config` as given and the seeds the run drew from: none for a
+    subcommand without a `seeds` field."""
     checked = validate_config(kind, config)
-    if seed_override is not None:
-        checked.update(_validated({"seeds": _SEEDS}, {"seeds": [seed_override]}))
-    seeds = checked.get("seeds", _DEFAULT_SEEDS)   # grid and two-ball draw none
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files = _RUNNERS[kind](checked, out, seeds)
+    files = _RUNNERS[kind](checked, out)
     wall = time.perf_counter() - start
-    manifest = write_manifest(out, config, seeds, wall, files)
+    manifest = write_manifest(out, config, checked.get("seeds", []), wall, files)
     return {"manifest": manifest, "files": files}
 
 
@@ -389,11 +381,12 @@ def main(argv=None) -> int:
         prog="fracshape", description="spectral shape optimization lab for the "
                                       "fractional Dirichlet Laplacian")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in SCHEMA:
+    for kind, table in SCHEMA.items():
         p = sub.add_parser(kind)
         p.add_argument("--config", required=(kind != "audit"))
         p.add_argument("--out", required=False, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if "seeds" in table:
+            p.add_argument("--seed", type=int, default=None)
         if kind == "audit":
             p.add_argument("--list-checks", action="store_true")
     args = parser.parse_args(argv)
@@ -406,9 +399,11 @@ def main(argv=None) -> int:
             config = json.loads(Path(args.config).read_text()) if args.config else {}
         except (OSError, ValueError) as exc:   # a JSONDecodeError is a ValueError
             raise ParameterError(f"config {args.config}: {exc}") from None
+        if getattr(args, "seed", None) is not None and isinstance(config, dict):
+            config = {**config, "seeds": [args.seed]}
         if args.out is None:
             raise ParameterError("config field 'out': --out directory required")
-        bundle = run_experiment(args.kind, config, args.out, args.seed)
+        bundle = run_experiment(args.kind, config, args.out)
     except FracshapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParameterError) else 3

@@ -36,7 +36,8 @@ from .grid import Grid, GridFunction, lattice_points, row_blocks
 # Box budget.  Assembly peaks at 2.6 MiB (tracemalloc, 2D 64^2, this size),
 # but the full-box product builds the dense n x n A (128 MiB), as a mask
 # covering most of the box does its restricted copies and factors.
-# cli.validate_config applies it; grid.MAX_CELLS bounds sampled grids.
+# `check_dense_budget` applies it, for assembly and cli.validate_config;
+# grid.MAX_CELLS bounds sampled grids.
 MAX_DENSE_CELLS = 4096
 # The exterior-tail shell and the Fourier-side DFT lattice span PADDING
 # box widths per axis.
@@ -44,6 +45,14 @@ PADDING = 4
 
 # unit-sphere measure sigma_{dim-1}
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}
+
+
+def check_dense_budget(grid: Grid) -> Grid:
+    """`grid`, if it has at most MAX_DENSE_CELLS cells; else a BudgetError."""
+    if grid.n_cells > MAX_DENSE_CELLS:
+        raise BudgetError(f"grid has {grid.n_cells} cells, over the dense-assembly "
+                          f"budget of {MAX_DENSE_CELLS}")
+    return grid
 
 
 def _check_s(s: float) -> float:
@@ -160,9 +169,7 @@ def assemble_stiffness(grid: Grid, s: float) -> StiffnessOperator:
     per distinct R_i, over the same |z|^-(dim+2s) the stencil holds.
     """
     s = _check_s(s)
-    if grid.n_cells > MAX_DENSE_CELLS:
-        raise BudgetError(f"grid has {grid.n_cells} cells, over the dense-assembly "
-                          f"budget of {MAX_DENSE_CELLS}")
+    check_dense_budget(grid)
     h, dim, n = grid.h, grid.dim, grid.resolution
     extra = (PADDING - 1) * n // 2
     # R_i / h: pad_w / h = n/2 + extra, |c_i| / h = |k + 1/2 - n/2| per axis

@@ -182,8 +182,22 @@ def empty_mask(grid: Grid) -> DomainMask:
 
 
 def mask_from_indices(grid: Grid, indices) -> DomainMask:
+    """The mask of the flat cell indices `indices`, each an integer in
+    [0, n_cells); an empty list gives the empty mask.  A boolean or
+    non-integer index, or one off the grid, is a ParameterError: numpy
+    would read -1 as the last cell and True as 1."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        if idx.size:
+            raise ParameterError(f"cell indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(int)
     cells = np.zeros(grid.n_cells, dtype=bool)
-    cells[np.asarray(indices, dtype=int)] = True
+    try:
+        cells[idx] = True
+    except IndexError as exc:
+        raise ParameterError(f"cell index off the grid: {exc}") from None
+    if idx.size and idx.min() < 0:
+        raise ParameterError(f"cell indices must be >= 0, got {idx.min()}")
     return DomainMask(grid, cells)
 
 

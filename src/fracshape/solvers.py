@@ -211,8 +211,7 @@ class DirichletOperator:
 
     On a mask that some axis reflections of the box map onto itself (a
     symmetric mask), `eigenpairs` and `solve` work on the parity blocks and
-    never gather the restricted matrix; `matrix()` still builds it on
-    request.
+    never gather the restricted matrix.
     """
 
     base: StiffnessOperator
@@ -268,10 +267,6 @@ class DirichletOperator:
         out /= np.sqrt(np.outer(stab, stab))
         out.flat[::rows.size + 1] += base.diag[rows]
         return out
-
-    def matrix(self) -> np.ndarray:
-        """Restricted matrix: cached and read-only; do not copy."""
-        return self._matrix
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A x for active-cell values x (a vector or columns).  On a
@@ -426,7 +421,7 @@ def eigenpairs(op: DirichletOperator, k: int) -> Spectrum:
     if op._mirror_axes:
         mu, vecs, residuals = _parity_eigh(op, k)
     else:
-        mu, vecs, residuals = _lowest_eigh(op.matrix(), k)
+        mu, vecs, residuals = _lowest_eigh(op._matrix, k)
     # dsyevr returns unit vectors: rescale to unit h^dim-weighted L2 norm
     vecs = vecs / np.sqrt(h_meas)
     return Spectrum(eigenvalues=mu / h_meas, residuals=residuals, op=op, vectors=vecs)

@@ -597,9 +597,9 @@ FUZZ_VALUES = [True, None, "5", -1, 0, 1e300, float("nan"), [], {}, [True], 2.5,
 # eig takes a ball and torsion an index list, so each mask spec is fuzzed
 FUZZ_BASE = {
     "grid": {"grid": GRID},
-    "eig": {"grid": GRID, "s": 0.5, "k": 2, "seeds": [0],
+    "eig": {"grid": GRID, "s": 0.5, "k": 2,
             "mask": {"type": "ball", "center": [0.0], "volume_cells": 8}},
-    "torsion": {"grid": GRID, "s": 0.5, "mask": THREE_CELLS, "seeds": [0]},
+    "torsion": {"grid": GRID, "s": 0.5, "mask": THREE_CELLS},
     "two-ball": dict(TWO_BALL, grid=GRID, s=0.5),
     "minimize": dict(MINIMIZE, volume_cells=8, schedule={"t0_factor": 0.1, "decay": 0.995}),
     "classify": dict(CLASSIFY, length=8, epsilon_fraction=0.2),
@@ -756,11 +756,60 @@ def test_main_list_checks(capsys):
 
 
 def test_seed_override(tmp_path):
-    cfg = {"generator": "translating-bump", "seeds": [0], "length": 8}
-    run_experiment("classify", cfg, tmp_path / "a", seed_override=4)
+    cfg = _write_config(tmp_path, dict(CLASSIFY, length=8))
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "4"]) == 0
+    assert not (tmp_path / "a" / "report_seed0.json").exists()
     assert (tmp_path / "a" / "report_seed4.json").exists()
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    assert manifest["seeds"] == [4]
+    assert manifest["seeds"] == [4] and manifest["config"]["seeds"] == [4]
+
+
+# a valid config per subcommand that draws, and per subcommand that draws nothing
+SEEDED = {"minimize": dict(MINIMIZE, volume_cells=8),
+          "classify": dict(CLASSIFY, length=8),
+          "lieb": dict(LIEB, grid=GRID, s=0.5),
+          "audit": {"checks": ["stiffness_symmetry", "poincare"]}}
+UNSEEDED = {kind: config for kind, config in FUZZ_BASE.items() if kind not in SEEDED}
+
+
+def test_seeded_subcommands_are_the_schema_seeds():
+    assert set(SEEDED) == {kind for kind, table in cli_mod.SCHEMA.items() if "seeds" in table}
+    assert set(SEEDED) | set(UNSEEDED) == set(cli_mod.SCHEMA)
+
+
+@pytest.mark.parametrize("kind", list(SEEDED))
+def test_seed_flag_is_the_seeds_field(tmp_path, kind):
+    # --seed 3 writes the artifacts of "seeds": [3], and the manifest echoes
+    # the config the run used
+    given = _write_config(tmp_path, dict(SEEDED[kind], seeds=[3]), "given.json")
+    flag = _write_config(tmp_path, dict(SEEDED[kind], seeds=[0, 1]), "flag.json")
+    assert main([kind, "--config", given, "--out", str(tmp_path / "given")]) == 0
+    assert main([kind, "--config", flag, "--out", str(tmp_path / "flag"), "--seed", "3"]) == 0
+    manifests = [json.loads((tmp_path / run / "manifest.json").read_text())
+                 for run in ("given", "flag")]
+    assert manifests[0]["files"] == manifests[1]["files"]
+    assert all(m["seeds"] == [3] and m["config"]["seeds"] == [3] for m in manifests)
+    assert manifests[0]["config"] == manifests[1]["config"]
+
+
+@pytest.mark.parametrize("kind", list(UNSEEDED))
+def test_unseeded_subcommands_refuse_seeds(tmp_path, capsys, kind):
+    # at the parent eig and torsion took `seeds` and every subcommand took
+    # --seed, though no artifact byte depends on them, and the manifest
+    # listed them
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, dict(UNSEEDED[kind], seeds=[3]), "seeds.json")
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert "config field 'seeds': unknown key" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, UNSEEDED[kind])
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--config", cfg, "--out", str(out), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+    # without a seed the run draws nothing and records no seed
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == []
 
 
 def test_reproducible_artifacts(tmp_path):

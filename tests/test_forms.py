@@ -386,7 +386,7 @@ def test_box_matrix_is_built_once_and_read_only():
     assert a is b
     with pytest.raises(ValueError):
         a[0, 1] = 0.0
-    sub = restrict(op, full_mask(g)).matrix()
+    sub = restrict(op, full_mask(g))._matrix
     with pytest.raises(ValueError):
         sub[0, 0] = 0.0
 

@@ -110,6 +110,26 @@ def test_mask_volume_and_subset():
     assert full_mask(g).n_active == 64
 
 
+@pytest.mark.parametrize("indices, match", [
+    # at the parent: cells {0, 7}; cell 0; cells {0, 1}; a bare IndexError
+    pytest.param([-1, 0], ">= 0", id="negative"),
+    pytest.param([0.5], "integers", id="float"),
+    pytest.param([True, False], "integers", id="bool"),
+    pytest.param([8], "off the grid", id="past-the-end"),
+])
+def test_mask_from_indices_rejects_malformed_indices(indices, match):
+    g = build_grid(1, 4.0, 8)
+    with pytest.raises(ParameterError, match=match):
+        mask_from_indices(g, indices)
+
+
+def test_mask_from_indices_accepts_every_cell_and_none():
+    g = build_grid(2, 1.0, 4)
+    assert mask_from_indices(g, []).is_empty
+    assert mask_from_indices(g, np.arange(16, dtype=np.uint8)).n_active == 16
+    assert mask_from_indices(g, range(15, 16)).active_indices.tolist() == [15]
+
+
 def test_mask_grid_mismatch():
     g1 = build_grid(1, 4.0, 64)
     g2 = build_grid(1, 4.0, 32)

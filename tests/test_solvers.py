@@ -51,7 +51,7 @@ def test_restriction_is_principal_submatrix(base_64):
     op = restrict(base_64, mask)
     full = base_64.matrix()
     sub = full[np.ix_([5, 9, 20], [5, 9, 20])]
-    assert np.allclose(op.matrix(), sub, rtol=0, atol=0)
+    assert np.allclose(op.base.submatrix(op.active_index), sub, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("indices", [range(20, 52), [3, 7, 8, 9, 30, 31, 55],
@@ -61,7 +61,7 @@ def test_eigenpairs_match_dense_oracle(base_64, indices):
     op = restrict(base_64, mask)
     k = min(4, op.n_active)
     spec = eigenpairs(op, k)
-    w, v = eigh(op.matrix() / base_64.grid.cell_volume)
+    w, v = eigh(op.base.submatrix(op.active_index) / base_64.grid.cell_volume)
     assert np.allclose(spec.eigenvalues, w[:k], rtol=1e-10)
     assert np.all(spec.residuals <= 1e-8)
     meas = base_64.grid.cell_volume
@@ -76,7 +76,7 @@ def test_eigenpairs_2d_against_dense(base_2d):
     idx = np.ravel_multi_index(np.mgrid[3:7, 2:8].reshape(2, -1), g.shape)
     op = restrict(base_2d, mask_from_indices(g, idx))
     spec = eigenpairs(op, 3)
-    w = eigh(op.matrix() / g.cell_volume, eigvals_only=True)
+    w = eigh(op.base.submatrix(op.active_index) / g.cell_volume, eigvals_only=True)
     assert np.allclose(spec.eigenvalues, w[:3], rtol=1e-9)
 
 
@@ -233,11 +233,12 @@ def test_asymmetric_mask_is_the_dense_solve_to_the_bit():
         op = restrict(base, make_mask(g))
         assert op._mirror_axes == []
         spec = eigenpairs(op, 4)
-        mu, vecs, residuals = solvers._lowest_eigh(op.matrix(), 4)
+        mu, vecs, residuals = solvers._lowest_eigh(base.submatrix(op.active_index), 4)
         assert np.array_equal(spec.eigenvalues, mu / g.cell_volume)
         assert np.array_equal(spec.vectors, vecs / np.sqrt(g.cell_volume))
         assert np.array_equal(spec.residuals, residuals)
-        ref = cho_solve(cho_factor(op.matrix()), np.full(op.n_active, g.cell_volume))
+        ref = cho_solve(cho_factor(base.submatrix(op.active_index)),
+                        np.full(op.n_active, g.cell_volume))
         assert np.array_equal(solve_torsion(op).values.values[op.active_index], ref)
 
 
@@ -258,7 +259,7 @@ def test_symmetric_eigenfunction_sign_is_stable():
     assert np.abs(efs[0] - efs[1]).max() < 1e-10
     # negative control: the dense solve of the same matrix ties the four
     # moduli only to rounding, so its argmax, and sign, follow the rounding
-    dense = solvers._lowest_eigh(ops[0].matrix(), 4)[1][:, 3]
+    dense = solvers._lowest_eigh(ops[0].base.submatrix(ops[0].active_index), 4)[1][:, 3]
     assert np.unique(np.abs(dense[orbit])).size > 1
 
 
@@ -304,7 +305,7 @@ def test_torsion_against_direct_solve(base_64):
     mask = mask_from_indices(base_64.grid, range(16, 48))
     op = restrict(base_64, mask)
     tor = solve_torsion(op)
-    direct = np.linalg.solve(op.matrix(),
+    direct = np.linalg.solve(op.base.submatrix(op.active_index),
                              np.full(op.n_active, base_64.grid.cell_volume))
     assert np.abs(tor.values.values[op.active_index] - direct).max() < 1e-10
     assert np.all(tor.values.values[~mask.cells] == 0.0)
@@ -333,7 +334,7 @@ def test_apply_resolvent_against_direct(base_64):
     op = restrict(base_64, mask)
     f = GridFunction(g, np.cos(g.cell_centers[:, 0]))
     u = apply_resolvent(op, f)
-    direct = np.linalg.solve(op.matrix(),
+    direct = np.linalg.solve(op.base.submatrix(op.active_index),
                              g.cell_volume * f.values[op.active_index])
     assert np.abs(u.values[op.active_index] - direct).max() < 1e-10
 
@@ -343,7 +344,7 @@ def test_lowest_eigh_is_scipy_eigh_to_the_bit(base_64, base_2d):
     rng = np.random.default_rng(3)
     for base, m in ((base_64, 24), (base_64, 64), (base_2d, 20), (base_2d, 57)):
         idx = np.sort(rng.choice(base.grid.n_cells, m, replace=False))
-        a_mat = restrict(base, mask_from_indices(base.grid, idx)).matrix()
+        a_mat = base.submatrix(restrict(base, mask_from_indices(base.grid, idx)).active_index)
         for k in (1, 3):
             mu, vecs, residuals = solvers._lowest_eigh(a_mat, k)
             w, v = eigh(a_mat, subset_by_index=[0, k - 1])
@@ -414,11 +415,12 @@ def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
         op_b = restrict(base, mask_from_indices(grid, inner))
         assert not (op_a._mirror_axes or op_b._mirror_axes)
         rhs = rng.standard_normal(m)
-        assert np.array_equal(op_a.solve(rhs), cho_solve(cho_factor(op_a.matrix()), rhs))
+        assert np.array_equal(op_a.solve(rhs),
+                              cho_solve(cho_factor(base.submatrix(op_a.active_index)), rhs))
         d = np.zeros((m, m))
         for op, sign in ((op_a, 1.0), (op_b, -1.0)):
             rows = np.searchsorted(outer, op.active_index)
-            inv = cho_solve(cho_factor(op.matrix()), np.eye(op.n_active))
+            inv = cho_solve(cho_factor(base.submatrix(op.active_index)), np.eye(op.n_active))
             d[np.ix_(rows, rows)] += (sign * grid.cell_volume) * inv
         assert resolvent_norm_diff(op_a, op_b) == float(np.abs(eigvalsh(d)).max())
 
@@ -597,9 +599,11 @@ def test_resolvent_norm_diff_dense_oracle(base_64):
     op_b = restrict(base_64, mask_from_indices(g, range(25, 50)))
     meas = g.cell_volume
     ra = np.zeros((64, 64))
-    ra[np.ix_(range(10, 40), range(10, 40))] = meas * np.linalg.inv(op_a.matrix())
+    ra[np.ix_(range(10, 40), range(10, 40))] = meas * np.linalg.inv(
+        base_64.submatrix(op_a.active_index))
     rb = np.zeros((64, 64))
-    rb[np.ix_(range(25, 50), range(25, 50))] = meas * np.linalg.inv(op_b.matrix())
+    rb[np.ix_(range(25, 50), range(25, 50))] = meas * np.linalg.inv(
+        base_64.submatrix(op_b.active_index))
     expected = np.abs(eigh(ra - rb, eigvals_only=True)).max()
     assert resolvent_norm_diff(op_a, op_b) == pytest.approx(expected, rel=1e-7)
 
