@@ -31,8 +31,8 @@ from . import concentration as cc
 from . import shapeopt
 from .errors import FracshapeError, ParameterError
 from .forms import assemble_stiffness, check_dense_budget
-from .grid import (_is_int, build_grid, full_mask, grid_to_json, mask_from_indices,
-                   mask_to_json)
+from .grid import (_is_int, build_grid, check_number, full_mask, grid_to_json,
+                   mask_from_indices, mask_to_json)
 from .serialize import write_csv, write_json, write_manifest
 from .solvers import eigenpairs, restrict, solve_torsion
 
@@ -64,13 +64,7 @@ def _int(lo, hi=math.inf):
 
 def _num(lo, hi, ends="()"):
     """A number between lo and hi, each end open "(" or closed "["."""
-    def _rule(value, top):
-        if (type(value) in (int, float) and (lo < value or ends[0] == "[" and value == lo)
-                and (value < hi or ends[1] == "]" and value == hi)):
-            return value
-        raise ParameterError(f"must be a number in {ends[0]}{lo}, {hi}{ends[1]}, "
-                             f"got {value!r}")
-    return _rule
+    return lambda value, top: check_number(value, lo, hi, ends)
 
 
 def _str(choices=None):
@@ -188,8 +182,9 @@ def _n_cells(top):
 
 
 _GRID, _S, _SEEDS = _grid(check_dense_budget), _num(0, 1), _list(_int(0))
-_SCHEDULE = {"t0_factor": (_num(0, math.inf, "[)"), shapeopt.AnnealingSchedule.t0_factor),
-             "decay": (_num(0, 1, "(]"), shapeopt.AnnealingSchedule.decay)}
+# AnnealingSchedule checks the ranges of its fields when it is built
+_SCHEDULE = {"t0_factor": (_any, shapeopt.AnnealingSchedule.t0_factor),
+             "decay": (_any, shapeopt.AnnealingSchedule.decay)}
 
 # One table per subcommand, in validation order (see `_walk`).
 SCHEMA = {
@@ -203,7 +198,6 @@ SCHEMA = {
                  "functional": _obj({"name": _str(), "k": _any, "combiner": _str()},
                                     _functional),
                  "iterations": _int(1), "seeds": _SEEDS,
-                 # the temperature stays finite, nonnegative and nonincreasing
                  "schedule": (_obj(_SCHEDULE, lambda d, top: shapeopt.AnnealingSchedule(**d)),
                               {})},
     # classify takes epsilon in (0, mass_limit / 4) and a length its grids fit

@@ -116,6 +116,18 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_number(value, lo, hi, ends="()", field=None):
+    """`value`, if it is a number (an integer or a float, not a boolean)
+    between lo and hi, each end open "(" or closed "["; otherwise a
+    ParameterError naming the range and `field`.  NaN is in no range."""
+    if ((_is_int(value) or isinstance(value, (float, np.floating)))
+            and (lo < value or ends[0] == "[" and value == lo)
+            and (value < hi or ends[1] == "]" and value == hi)):
+        return value
+    raise ParameterError(f"must be a number in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}",
+                         field=field)
+
+
 def build_grid(dim: int, half_width: float, resolution: int) -> Grid:
     """Construct a uniform grid, validating each field and the grid budget.
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .forms import StiffnessOperator, assemble_stiffness
-from .grid import (DomainMask, Grid, GridFunction, _is_int, distances_from,
+from .grid import (DomainMask, Grid, GridFunction, _is_int, check_number, distances_from,
                    l2_distance, mask_from_indices, min_pair_distance)
-from .solvers import (EIG_RTOL, DirichletOperator, TorsionFunction, _count_below,
-                      _lowest_eigh, _reflection_axes, eigenpairs, eigenvalues_or_inf,
-                      resolvent_norm_diff, restrict, solve_torsion)
+from .solvers import (EIG_RTOL, DirichletOperator, TorsionFunction, _bordered_count,
+                      _count_below, _lowest_eigh, _reflection_axes, _shifted_ldl, eigenpairs,
+                      eigenvalues_or_inf, resolvent_norm_diff, restrict, solve_torsion)
 
 DEBRIS_FRACTION = 0.02          # volume share tolerated outside the two clusters
 RESOLVENT_GAP_FRACTION = 0.05   # debris-removal gap allowed for a dichotomy verdict
@@ -29,8 +29,9 @@ CAUCHY_FRACTION = 0.02          # relative torsion spread for a compactness verd
 SCREEN_NATS = 20.0              # the walk's screen certifies dJ >= SCREEN_NATS * T
 _SCREEN_P = float(np.exp(1.0 - SCREEN_NATS))   # draws at or above it reject
 _SCREEN_MARGIN = 1.0 + 4.0 * EIG_RTOL           # relative margin of the screen's shift
-_SCREEN_BREAK_EVEN = 0.25      # certifying share below which the screen only probes
+_SCREEN_BREAK_EVEN = 0.25      # direct counts' certifying share below which the screen only probes
 _SCREEN_PROBE = 16              # ... and tries one new mask in this many
+_BORDER_WORK = 60000            # n^2 b of a bordered count's block of b insertions
 
 
 # --- functional grammar -------------------------------------------------------
@@ -186,10 +187,19 @@ def two_ball_experiment(grid: Grid, s: float, total_volume: float,
 
 @dataclass(frozen=True)
 class AnnealingSchedule:
-    """T_j = t0_factor * |J_initial| * decay^j."""
+    """T_j = t0_factor * |J_initial| * decay^j.
+
+    t0_factor must be a finite number >= 0 and decay a number in (0, 1],
+    so that the temperature stays finite, nonnegative and nonincreasing;
+    the constructor raises ParameterError naming the field otherwise.
+    """
 
     t0_factor: float = 0.1
     decay: float = 0.995
+
+    def __post_init__(self):
+        check_number(self.t0_factor, 0, np.inf, "[)", field="t0_factor")
+        check_number(self.decay, 0, 1, "(]", field="decay")
 
 
 @dataclass(frozen=True)
@@ -254,18 +264,24 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
 
     Most uphill moves are rejected without an eigensolve.  Before solving
     a new mask, the walk picks a shift sigma from the current J and T and
-    `solvers._count_below` counts the nu eigenvalues under it, by the
-    inertia of one LDL^T factor.  J is monotone and every lambda_j is
-    positive, so the new J is at least J of the bounds 0 for
-    lambda_1..lambda_nu and sigma for the rest; for J = l_k that is sigma
-    whenever nu < k.  When that bound certifies dJ >= SCREEN_NATS * T, the
-    walk draws the uniform number that the exact test would draw; a draw
-    of at least e^(1 - SCREEN_NATS) rejects the move, as exp(-dJ / T)
-    would, and a smaller one solves the mask and decides exactly.
-    Certified bounds are remembered per mask beside the values, so a
-    revisit is a lookup either way.  Every value that decides a move is
-    still solved and checked, and the walk, its random stream and its
-    values are the same as without the screen.
+    counts the nu eigenvalues under it, by the inertia of one LDL^T
+    factor.  J is monotone and every lambda_j is positive, so the new J is
+    at least J of the bounds 0 for lambda_1..lambda_nu and sigma for the
+    rest; for J = l_k that is sigma whenever nu < k.  When that bound
+    certifies dJ >= SCREEN_NATS * T, the walk draws the uniform number that
+    the exact test would draw; a draw of at least e^(1 - SCREEN_NATS)
+    rejects the move, as exp(-dJ / T) would, and a smaller one solves the
+    mask and decides exactly.  All the moves from a held mask M that remove
+    the same cell o share the matrix B of M without o, so from o's second
+    screen on one factor of B counts them all (`solvers._bordered_count`:
+    the count of B plus one if the inserted cell's Schur complement is
+    negative), a block of insertions per `dsytrs` call; a removal screened
+    once is counted directly (`solvers._count_below`), as is an insertion
+    whose bordered count is withheld.  Certified bounds are kept per
+    (removed, inserted) pair while M is held, so a move whose pair has
+    one is decided from it before the mask is changed.  Every value that
+    decides a move is still solved and checked, and the walk, its random
+    stream and its values are the same as without the screen.
     """
     grid = base.grid
     m = int(round(c / grid.cell_volume))
@@ -286,7 +302,6 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
     beyond = np.full(spec.k - kk, np.inf)   # lambda_j = +inf for j > m
 
     memo = {}     # packed mask bits -> (J, lambda_1..lambda_k), for this walk only
-    floors = {}   # packed mask bits -> certified lower bound on J, unsolved masks
 
     def evaluate(key: bytes, mat: np.ndarray | None = None) -> tuple:
         """(J, lambda_1..lambda_k) of the current mask, whose packed bits
@@ -322,30 +337,43 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
               for slope in [(g(2 * top, nu) - g(top, nu)) / top] if slope > 0]
     screens = bool(chords) and kk == spec.k and np.isfinite(g(2 * top, 0))
 
-    rate = 1.0   # running share of factorizations that certified
-    idle = 0     # new masks solved without a factorization since the last
+    rate = 1.0   # running share of direct counts that certified
+    idle = 0     # new masks solved without a screen since the last
+    # per removed cell, for the held mask: certified lower bounds on J of
+    # the moves that insert inactive[p], by p (NaN where none is known),
+    # and the factor of the held mask without the cell, with its sigma
+    lows, borders = {}, {}
 
-    def certified(key: bytes, value: float, lam: np.ndarray, temp: float) -> tuple:
+    def certified(key: bytes, out_cell: int, at: int, value: float,
+                  lam: np.ndarray, temp: float) -> tuple:
         """(whether J - value >= SCREEN_NATS * temp is certified for the
-        current mask without solving it, its matrix if gathered); `value`
-        and `lam` are J and the eigenvalues of the mask before the move.
+        current mask without solving it, its matrix if gathered); the
+        move removed `out_cell` and inserted `inactive[at]`, and `value`
+        and `lam` are J and the eigenvalues of the held mask.
 
-        A factorization costs a quarter to a third of a solve, so while
-        the running share of factorizations that certified (weight 1/8) is
-        under _SCREEN_BREAK_EVEN, only every _SCREEN_PROBE-th new mask
-        tries one: a hot walk, or a functional that one shift bounds
+        A removal's first screen on the held mask counts the new mask
+        directly.  From its second on, the held mask without the removed
+        cell, B, is factored once at that screen's shift, and
+        `_bordered_count` bounds a block of insertions at a time from it:
+        the proposed cell and the inactive cells after it, cyclically,
+        _BORDER_WORK / n^2 of them for B of n cells.  The factor keeps its
+        shift: T only falls while a mask is held, so a bound that
+        certified still does.  A withheld count falls back to the direct
+        one.
+
+        A direct count costs about a third of a solve on a 24-cell 1D
+        mask and a sixth on a 200-cell 2D one, so while the running share
+        of direct counts that certified (weight 1/8) is under
+        _SCREEN_BREAK_EVEN, only every _SCREEN_PROBE-th new mask is
+        screened: a hot walk, or a functional that one shift bounds
         poorly, pays little for the screen."""
         nonlocal rate, idle
         if key in memo:
             return False, None
-        lower = floors.get(key)
-        if lower is not None and (lower - value) / temp >= SCREEN_NATS:
-            return True, None
         if rate < _SCREEN_BREAK_EVEN and idle < _SCREEN_PROBE - 1:
             idle += 1
             return False, None
         idle = 0
-        mat = base.submatrix(np.flatnonzero(cells))
         target = value + SCREEN_NATS * temp
         # the chord whose sigma asks the least rise of the eigenvalue it
         # bounds; the margin covers rounding: the chord's, then that of
@@ -354,14 +382,44 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         nu, slope, offset = min(chords, key=lambda c: (target - c[2]) / c[1] / lam[c[0]])
         sigma = (target - offset) / slope * _SCREEN_MARGIN
         if not ((g(sigma, nu) - value) / temp >= SCREEN_NATS and sigma < top):
+            return False, None
+        row = lows.get(out_cell)
+        if row is None:
+            row = lows[out_cell] = np.full(inactive.size, np.nan)
+        elif np.isnan(row[at]):
+            if out_cell not in borders:
+                in_cell = inactive[at]
+                cells[in_cell] = False
+                rows = np.flatnonzero(cells)
+                cells[in_cell] = True
+                borders[out_cell] = (_shifted_ldl(base.submatrix(rows),
+                                                  sigma * h_meas * _SCREEN_MARGIN), sigma, rows)
+            factor, sigma_b, rows = borders[out_cell]
+            # a bordered count is exact for a matrix whose border is off by
+            # up to 2 n eps 64 (|d - shift| + ||c||_1) (`_bordered_count`),
+            # under 1e-10 of the shift on a 200-cell 2D disc: the margin
+            # covers it too
+            if factor is not None:
+                width = min(inactive.size, max(1, _BORDER_WORK // rows.size ** 2))
+                block = np.arange(at, at + width) % inactive.size
+                cols = inactive[block]
+                counts = _bordered_count(factor, base.couplings(rows[:, None], cols),
+                                         base.diag[cols])
+                low, high = (g(sigma_b, min(factor.below + extra, spec.k)) for extra in (0, 1))
+                row[block] = np.where(counts < 0, np.nan,
+                                      np.where(counts > factor.below, high, low))
+        lower = row[at]
+        mat = None
+        if np.isnan(lower):
+            mat = base.submatrix(np.flatnonzero(cells))
+            below = _count_below(mat, sigma * h_meas * _SCREEN_MARGIN)
+            lower = -np.inf if below is None else g(sigma, min(below, spec.k))
+        sure = (lower - value) / temp >= SCREEN_NATS
+        if mat is not None:     # a direct count
+            rate += (sure - rate) / 8
+        if not sure:
             return False, mat
-        below = _count_below(mat, sigma * h_meas * _SCREEN_MARGIN)
-        lower = -np.inf if below is None else g(sigma, min(below, spec.k))
-        if not (lower - value) / temp >= SCREEN_NATS:
-            rate -= rate / 8
-            return False, mat
-        rate += (1.0 - rate) / 8
-        floors[key] = lower
+        row[at] = lower
         return True, mat
 
     neighbours = _neighbour_table(grid)
@@ -377,16 +435,25 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         if boundary.size == 0 or inactive.size == 0:
             break
         out_cell = int(boundary[rng.integers(boundary.size)])
-        in_cell = int(inactive[rng.integers(inactive.size)])
+        at = int(rng.integers(inactive.size))
+        in_cell = int(inactive[at])
+        temp = t0 * schedule.decay ** j
+        # a certified move has dJ > 0, so the exact test below would draw
+        # the same number u; rejecting at u >= e^(1 - SCREEN_NATS) is what it
+        # would do, with a nat to spare for the rounding of exp.  A move
+        # whose pair has a certified bound is decided before the mask changes
+        row = lows.get(out_cell)
+        sure = row is not None and temp > 0 and (row[at] - value) / temp >= SCREEN_NATS
+        u = rng.random() if sure else None
+        if sure and u >= _SCREEN_P:
+            continue
         cells[out_cell] = False
         cells[in_cell] = True
         key = np.packbits(cells).tobytes()
-        temp = t0 * schedule.decay ** j
-        sure, mat = certified(key, value, lam, temp) if screens and temp > 0 else (False, None)
-        # a certified move has dJ > 0, so the exact test below would draw
-        # this same number; rejecting at u >= e^(1 - SCREEN_NATS) is what
-        # it would do, with a nat to spare for the rounding of exp
-        u = rng.random() if sure else None
+        mat = None
+        if not sure and screens and temp > 0:
+            sure, mat = certified(key, out_cell, at, value, lam, temp)
+            u = rng.random() if sure else None
         accept = False
         if u is None or u < _SCREEN_P:
             new_value, new_lam = evaluate(key, mat)
@@ -397,6 +464,8 @@ def minimize_shape(spec: FunctionalSpec, base: StiffnessOperator, c: float,
         if accept:
             boundary = _boundary(cells, neighbours)
             inactive = np.flatnonzero(~cells)
+            lows.clear()
+            borders.clear()
             value, lam = new_value, new_lam
             move_log.append({"iteration": j, "removed": out_cell,
                              "inserted": in_cell, "value": value})

@@ -17,7 +17,11 @@ result is checked against a residual tolerance instead, which a NaN fails.
 One more driver answers a cheaper question: `dsytrf`, the Bunch-Kaufman
 LDL^T factor of a shifted matrix, counts the eigenvalues below the shift
 (Sylvester's law of inertia), which lets the annealing walk reject most
-uphill moves without an eigensolve.
+uphill moves without an eigensolve.  The factor of a matrix B also counts
+every matrix that borders B with one row and column: by Haynsworth's
+inertia additivity the count is B's plus one if the border's Schur
+complement is negative, and one `dsytrs` call on the factor gives the
+complements of a whole block of borders.
 
 A mask that some axis reflections of the box map onto itself is solved one
 parity block at a time.  A's couplings depend only on cell offsets and its
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -62,8 +67,11 @@ EIG_RTOL = 1e-8
 DUALITY_SEED = 0x5EED   # fixed test function of the duality identity
 # the LAPACK drivers behind scipy.linalg.eigh/eigvalsh and cho_factor/cho_solve,
 # and the symmetric indefinite factor behind scipy.linalg.ldl
-_SYEVR, _SYEVR_LWORK, _POTRF, _POTRS, _SYTRF, _SYTRF_LWORK = get_lapack_funcs(
-    ("syevr", "syevr_lwork", "potrf", "potrs", "sytrf", "sytrf_lwork"), dtype=np.float64)
+_SYEVR, _SYEVR_LWORK, _POTRF, _POTRS, _SYTRF, _SYTRF_LWORK, _SYTRS = get_lapack_funcs(
+    ("syevr", "syevr_lwork", "potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs"),
+    dtype=np.float64)
+_EPS = float(np.finfo(np.float64).eps)
+_BORDER_GROWTH = 64.0    # largest |c^T x| / (|d - shift| + ||c||_1) a bordered count takes
 # the fixed probe of the resolvent-gap residual check, read on a mask's
 # first m active cells: seeded normal entries reach every parity block,
 # where a linear ramp misses a 2D mask's all-odd ones
@@ -481,17 +489,27 @@ def _sytrf_workspace(n: int) -> int:
     return int(work)
 
 
-def _count_below(a_mat: np.ndarray, shift: float) -> int | None:
-    """Number of eigenvalues of the symmetric a_mat below `shift`, or None
-    when that count is not certain.
+class _ShiftedLDL(NamedTuple):
+    """The Bunch-Kaufman factor L D L^T of a_mat - shift I, as dsytrf
+    leaves it, and `below`, the number of a_mat's eigenvalues under the
+    shift."""
 
-    By Sylvester's law of inertia it is the number of negative eigenvalues
-    of D in the Bunch-Kaufman factor L D L^T of a_mat - shift I (dsytrf, on
-    a shifted copy).  D's 1x1 blocks are the entries with ipiv > 0; its 2x2
-    blocks, the pairs with ipiv < 0, have a negative determinant by the
-    pivot rule, so each holds one negative eigenvalue.
-    An exactly zero pivot (info > 0: the shift may be an eigenvalue) and a
-    non-finite diagonal of D, which a NaN entry leaves, give None.
+    ldu: np.ndarray
+    ipiv: np.ndarray
+    shift: float
+    below: int
+
+
+def _shifted_ldl(a_mat: np.ndarray, shift: float) -> _ShiftedLDL | None:
+    """The dsytrf factor of a_mat - shift I, or None when its inertia is not
+    certain.
+
+    By Sylvester's law of inertia `below` is the number of negative
+    eigenvalues of D.  D's 1x1 blocks are the entries with ipiv > 0; its
+    2x2 blocks, the pairs with ipiv < 0, have a negative determinant by the
+    pivot rule, so each holds one negative eigenvalue.  An exactly zero
+    pivot (info > 0: the shift may be an eigenvalue) and a non-finite
+    diagonal of D, which a NaN entry leaves, give None.
     """
     n = a_mat.shape[0]
     shifted = a_mat.copy()
@@ -504,7 +522,53 @@ def _count_below(a_mat: np.ndarray, shift: float) -> int | None:
     d = ldu.diagonal()
     if info > 0 or not np.isfinite(d.sum()):
         return None
-    return int(np.count_nonzero(d[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2)
+    below = int(np.count_nonzero(d[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2)
+    return _ShiftedLDL(ldu, ipiv, shift, below)
+
+
+def _count_below(a_mat: np.ndarray, shift: float) -> int | None:
+    """Number of eigenvalues of the symmetric a_mat below `shift`, from the
+    inertia of `_shifted_ldl`, or None when that count is not certain."""
+    factor = _shifted_ldl(a_mat, shift)
+    return None if factor is None else factor.below
+
+
+def _bordered_count(factor: _ShiftedLDL, couplings: np.ndarray,
+                    diag: np.ndarray) -> np.ndarray:
+    """Eigenvalue counts below `factor.shift` of the bordered matrices
+    [[B, c_j], [c_j^T, d_j]], one per column c_j of `couplings` and entry
+    d_j of `diag`, where `factor` is `_shifted_ldl(B, shift)`; -1 where a
+    count is not certain.
+
+    With B - shift I nonsingular, the bordered matrix minus shift is
+    congruent to diag(B - shift I, s_j), s_j = d_j - shift - c_j^T x_j and
+    (B - shift I) x_j = c_j, so its inertia adds (Haynsworth, Linear
+    Algebra Appl. 1, 1968): the count is factor.below + [s_j < 0].  One
+    dsytrs call on the factor solves every column.
+
+    The count is that of a matrix within rounding of the bordered one only
+    if eliminating the border did not grow: with r_j = |d_j - shift| +
+    ||c_j||_1, the size of the border's entries, the computed s_j is the
+    last pivot of an LDL^T factor of the bordered matrix (the border
+    eliminated last), which carries a backward error of order
+    n eps (r_j + |c_j^T x_j|) in the border (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 11).  A column is
+    counted only when |c_j^T x_j| <= _BORDER_GROWTH r_j, which keeps that
+    error under 2 n eps _BORDER_GROWTH r_j, and when |s_j| is above it,
+    so that its sign is the exact Schur complement's.  A shift near an
+    eigenvalue of B makes x_j large and fails the first test; a NaN fails
+    both.
+    """
+    x, info = _SYTRS(factor.ldu, factor.ipiv, couplings, lower=0)
+    if info != 0:
+        raise NumericError(f"dsytrs failed: info = {info}")
+    eliminated = np.add.reduce(couplings * x, axis=0)
+    offset = diag - factor.shift
+    pivot = offset - eliminated
+    size = np.abs(offset) + np.add.reduce(np.abs(couplings), axis=0)
+    rounding = 2.0 * couplings.shape[0] * _EPS * _BORDER_GROWTH * size
+    sure = (np.abs(eliminated) <= _BORDER_GROWTH * size) & (np.abs(pivot) > rounding)
+    return np.where(sure, factor.below + (pivot < 0), -1)
 
 
 def _lowest_eigh(a_mat: np.ndarray, k: int) -> tuple:

@@ -247,6 +247,21 @@ def test_minimize_rejects_bad_volume(base_64):
         minimize_shape(spec, base_64, 1000.0, 10, seed=0)
 
 
+@pytest.mark.parametrize("t0_factor, decay, field", [
+    (0.1, 2.0, "decay"),               # at the parent an OverflowError of decay ** j
+    (float("nan"), 0.995, "t0_factor"),  # ... a greedy walk, silently
+    (-0.1, 0.995, "t0_factor"),        # ... the same
+])
+def test_minimize_rejects_bad_schedule(t0_factor, decay, field):
+    # the CLI's schedule rule, raised before any move on the README grid
+    base = assemble_stiffness(build_grid(1, 8.0, 128), 0.5)
+    spec = make_functional("l2", 2, "l2")
+    with pytest.raises(ParameterError) as info:
+        minimize_shape(spec, base, 24 * base.grid.cell_volume, 2000, seed=0,
+                       schedule=AnnealingSchedule(t0_factor, decay))
+    assert info.value.field == field
+
+
 def test_minimize_deterministic(base_64):
     spec = make_functional("l1", 1, "l1")
     t1 = minimize_shape(spec, base_64, 8 * base_64.grid.cell_volume, 200, seed=9)
@@ -355,10 +370,15 @@ def _screen_record(monkeypatch):
     """Record the masks a walk solves (a list, in order) and the masks
     its screen certifies (a set), as packed cell bytes.  A matrix is traced
     to its mask through `StiffnessOperator.submatrix`: the walk factors or
-    solves the matrix it gathered last.  A certificate is a count below
-    the shift of under k = 2, which for l2 is what the screen needs."""
-    last, solved, certified = [], [], set()
-    submatrix = StiffnessOperator.submatrix
+    solves the matrix it gathered last.  A bordered count is traced to its
+    held mask through the factor it reads, and to its insertions through
+    `StiffnessOperator.couplings`: the walk counts the border it gathered
+    last.  A certificate is a count below the shift of under k = 2, which
+    for l2 is what the screen needs: a direct count of the new mask, or a
+    bordered count of the held mask without the removed cell plus one
+    inserted cell."""
+    last, border, factors, solved, certified = [], [], {}, [], set()
+    submatrix, couplings = StiffnessOperator.submatrix, StiffnessOperator.couplings
 
     def gather(self, cells):
         mask = np.zeros(self.grid.n_cells, dtype=bool)
@@ -366,11 +386,16 @@ def _screen_record(monkeypatch):
         last[:] = [submatrix(self, cells), mask.tobytes()]
         return last[0]
 
+    def gather_border(self, rows, cols):
+        border[:] = [couplings(self, rows, cols), cols]
+        return border[0]
+
     def mask_of(a_mat):
         assert a_mat is last[0]
         return last[1]
 
     lowest, count = shapeopt._lowest_eigh, shapeopt._count_below
+    ldl, bordered = shapeopt._shifted_ldl, shapeopt._bordered_count
     symmetric = shapeopt.eigenvalues_or_inf
 
     def solve(a_mat, k):
@@ -383,13 +408,32 @@ def _screen_record(monkeypatch):
             certified.add(mask_of(a_mat))
         return below
 
+    def factor(a_mat, shift):
+        out = ldl(a_mat, shift)
+        factors[id(out)] = (out, mask_of(a_mat))   # the entry keeps the id taken
+        return out
+
+    def screen_border(held, cols, diag):
+        counts = bordered(held, cols, diag)
+        assert cols is border[0]
+        without = np.frombuffer(factors[id(held)][1], dtype=bool)
+        for cell, below in zip(border[1], counts):
+            if 0 <= below < 2:
+                mask = without.copy()
+                mask[cell] = True
+                certified.add(mask.tobytes())
+        return counts
+
     def solve_symmetric(base, mask, k):
         solved.append(mask.cells.tobytes())
         return symmetric(base, mask, k)
 
     monkeypatch.setattr(StiffnessOperator, "submatrix", gather)
+    monkeypatch.setattr(StiffnessOperator, "couplings", gather_border)
     monkeypatch.setattr(shapeopt, "_lowest_eigh", solve)
     monkeypatch.setattr(shapeopt, "_count_below", screen)
+    monkeypatch.setattr(shapeopt, "_shifted_ldl", factor)
+    monkeypatch.setattr(shapeopt, "_bordered_count", screen_border)
     monkeypatch.setattr(shapeopt, "eigenvalues_or_inf", solve_symmetric)
     return solved, certified
 
@@ -441,12 +485,14 @@ def test_reference_walk_comparison_can_fail(walk_bases, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("fault", ["count-off-by-one", "no-temperature-margin"])
+@pytest.mark.parametrize("fault", ["count-off-by-one", "border-count-off-by-one",
+                                   "no-temperature-margin"])
 def test_screen_faults_part_from_reference(walk_bases, monkeypatch, dim, fault):
     # negative controls of the screen on the fast-cooling walks: a count
     # one short (certifying lambda_k >= sigma from k eigenvalues below it),
-    # or a screen that certifies only dJ >= 0 and still rejects draws of at
-    # least e^(1 - 20), must reject moves the exact test accepts
+    # in the direct count or in the bordered count's nu(B), or a screen
+    # that certifies only dJ >= 0 and still rejects draws of at least
+    # e^(1 - 20), must reject moves the exact test accepts
     base = walk_bases[dim]
     spec = make_functional("l2", 2, "l2")
     c = WALK_CELLS[dim] * base.grid.cell_volume
@@ -460,6 +506,14 @@ def test_screen_faults_part_from_reference(walk_bases, monkeypatch, dim, fault):
             return below if below is None else max(below - 1, 0)
 
         monkeypatch.setattr(shapeopt, "_count_below", short)
+    elif fault == "border-count-off-by-one":
+        ldl = shapeopt._shifted_ldl
+
+        def short_factor(a_mat, shift):
+            held = ldl(a_mat, shift)
+            return held if held is None else held._replace(below=max(held.below - 1, 0))
+
+        monkeypatch.setattr(shapeopt, "_shifted_ldl", short_factor)
     else:
         monkeypatch.setattr(shapeopt, "SCREEN_NATS", 0.0)
     assert not _same_walk(minimize_shape(spec, base, c, WALK_MOVES, 11, schedule),
@@ -505,12 +559,30 @@ def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
 def test_screen_skips_most_eigensolves_on_the_readme_walk(monkeypatch):
     # the README's minimize config (l2, seed 0, 10,000 moves): the screen
     # leaves at most a third of the distinct masks valued to an eigensolve
-    # (the walk without it solves every one)
+    # (the walk without it solves every one), and the bordered count keeps
+    # its work down: at most 1,000 dsytrf factors over both routes and
+    # 2,500 gathers of a whole mask (the walk that counts every screened
+    # mask directly makes 4,897 and 6,173)
     base = assemble_stiffness(build_grid(1, 8.0, 128), 0.5)
     spec = make_functional("l2", 2, "l2")
     solved, certified = _screen_record(monkeypatch)
+    factors, gathers = [], []
+    sytrf, submatrix = solvers._SYTRF, StiffnessOperator.submatrix
+
+    def counted_sytrf(*args, **kw):
+        factors.append(args[0].shape)
+        return sytrf(*args, **kw)
+
+    def counted_gather(self, cells):
+        gathers.append(cells.size)
+        return submatrix(self, cells)
+
+    monkeypatch.setattr(solvers, "_SYTRF", counted_sytrf)
+    monkeypatch.setattr(StiffnessOperator, "submatrix", counted_gather)
     minimize_shape(spec, base, 24 * base.grid.cell_volume, 10000, seed=0)
     assert 3 * len(solved) <= len(set(solved) | certified)
+    assert len(factors) <= 1000
+    assert gathers.count(24) <= 2500
 
 
 @pytest.mark.parametrize("dim, resolution, volume_cells", [(1, 24, 8), (2, 8, 12)])

@@ -402,6 +402,78 @@ def test_count_below_withholds_an_uncertain_count():
     assert solvers._count_below(a_mat, 1.0) is None
 
 
+def _bordered_cases():
+    """(B, border couplings C, border diagonal d, shift): random SPD B of
+    23 and 199 rows with a block of 8 border columns, shifts below, between
+    and above B's eigenvalues, and a zero-diagonal indefinite B that makes
+    dsytrf take 2x2 pivots."""
+    rng = np.random.default_rng(31)
+    for n in (23, 199):
+        b = rng.standard_normal((n + 8, n + 8))
+        a_mat = b @ b.T + 1e-3 * n * np.eye(n + 8)
+        w = eigvalsh(a_mat[:n, :n])
+        for shift in [w[0] / 2, w[-1] + 1.0, *((w[:-1] + w[1:])[::n // 8] / 2)]:
+            yield a_mat[:n, :n], a_mat[:n, n:], a_mat.diagonal()[n:], shift
+    b = np.triu(rng.standard_normal((20, 20)), 1)
+    a_mat = b + b.T
+    assert (solvers._SYTRF(a_mat[:12, :12], lower=1)[1] < 0).any()   # 2x2 pivots
+    w = eigvalsh(a_mat[:12, :12])
+    for shift in (0.0, *((w[:-1] + w[1:]) / 2)):
+        yield a_mat[:12, :12], a_mat[:12, 12:], a_mat.diagonal()[12:], shift
+
+
+def _counts_bordered_inertia(bordered_count) -> bool:
+    """Whether `bordered_count` gives, on every column of every case, the
+    eigvalsh count of the explicit bordered matrix below the shift."""
+    for b_mat, cols, diag, shift in _bordered_cases():
+        counts = bordered_count(solvers._shifted_ldl(b_mat, shift), cols, diag)
+        for j, count in enumerate(counts):
+            full = np.block([[b_mat, cols[:, j:j + 1]], [cols[:, j:j + 1].T, diag[j]]])
+            if count != np.count_nonzero(eigvalsh(full) < shift):
+                return False
+    return True
+
+
+def test_bordered_count_is_eigvalsh_count():
+    # nu(B - shift) + [s_j < 0] counts the bordered matrix's eigenvalues
+    # under the shift, one dsytrs call for the block of columns
+    assert _counts_bordered_inertia(solvers._bordered_count)
+
+
+def test_bordered_comparison_can_fail():
+    # negative controls: a count that drops nu(B), and one that ignores
+    # the sign of the Schur complement s_j, must each be caught
+    def drops_nu(factor, cols, diag):
+        counts = solvers._bordered_count(factor, cols, diag)
+        return np.where(counts < 0, counts, counts - factor.below)
+
+    def ignores_sign(factor, cols, diag):
+        counts = solvers._bordered_count(factor, cols, diag)
+        return np.where(counts < 0, counts, factor.below)
+
+    assert not _counts_bordered_inertia(drops_nu)
+    assert not _counts_bordered_inertia(ignores_sign)
+
+
+@pytest.mark.parametrize("n", [23, 199])
+def test_bordered_count_withholds_near_an_eigenvalue_of_b(n):
+    # a shift at an eigenvalue of B, or within 1e-13 (relative) of one,
+    # makes the border's elimination grow: every count is withheld, never
+    # a wrong one given
+    rng = np.random.default_rng(37)
+    b = rng.standard_normal((n + 8, n + 8))
+    a_mat = b @ b.T + 1e-3 * n * np.eye(n + 8)
+    b_mat, cols, diag = a_mat[:n, :n], a_mat[:n, n:], a_mat.diagonal()[n:]
+    for mu in eigvalsh(b_mat)[::max(1, n // 12)]:
+        for shift in (mu, mu * (1 + 1e-13), mu * (1 - 1e-13)):
+            factor = solvers._shifted_ldl(b_mat, shift)
+            assert factor is None or (solvers._bordered_count(factor, cols, diag) == -1).all()
+    nan_cols = cols.copy()
+    nan_cols[0, 3] = np.nan
+    counts = solvers._bordered_count(solvers._shifted_ldl(b_mat, 0.0), nan_cols, diag)
+    assert counts[3] == -1 and (np.delete(counts, 3) == 0).all()
+
+
 def test_direct_lapack_is_scipy_to_the_bit(base_64, base_2d):
     # dpotrf/dpotrs and the eigenvalue-only dsyevr make the calls that
     # cho_factor/cho_solve and eigvalsh make: the gap is eigvalsh of the
