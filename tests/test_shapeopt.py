@@ -557,14 +557,17 @@ def test_minimize_solves_each_mask_once(walk_bases, monkeypatch, dim):
 
 
 def test_screen_skips_most_eigensolves_on_the_readme_walk(monkeypatch):
-    # the README's minimize config (l2, seed 0, 10,000 moves): the screen
-    # leaves at most a third of the distinct masks valued to an eigensolve
-    # (the walk without it solves every one), and the bordered count keeps
-    # its work down: at most 1,000 dsytrf factors over both routes and
-    # 2,500 gathers of a whole mask (the walk that counts every screened
-    # mask directly makes 4,897 and 6,173)
+    # the README's minimize config (l2, seed 0, 10,000 moves): of the
+    # distinct masks the walk proposes (its reference values every one), at
+    # most a third are eigensolved and the rest were certified, and the
+    # bordered count keeps its work down: at most 1,000 dsytrf factors over
+    # both routes and 2,500 gathers of a whole mask (the walk that counts
+    # every screened mask directly makes 4,897 and 6,173)
     base = assemble_stiffness(build_grid(1, 8.0, 128), 0.5)
     spec = make_functional("l2", 2, "l2")
+    c = 24 * base.grid.cell_volume
+    evaluated = set()
+    reference = _reference_walk(spec, base, c, 10000, seed=0, evaluated=evaluated)
     solved, certified = _screen_record(monkeypatch)
     factors, gathers = [], []
     sytrf, submatrix = solvers._SYTRF, StiffnessOperator.submatrix
@@ -579,8 +582,11 @@ def test_screen_skips_most_eigensolves_on_the_readme_walk(monkeypatch):
 
     monkeypatch.setattr(solvers, "_SYTRF", counted_sytrf)
     monkeypatch.setattr(StiffnessOperator, "submatrix", counted_gather)
-    minimize_shape(spec, base, 24 * base.grid.cell_volume, 10000, seed=0)
-    assert 3 * len(solved) <= len(set(solved) | certified)
+    traj = minimize_shape(spec, base, c, 10000, seed=0)
+    assert _same_walk(traj, reference)
+    assert len(solved) == len(set(solved)) and set(solved) <= evaluated
+    assert 3 * len(solved) <= len(evaluated)
+    assert evaluated - set(solved) <= certified
     assert len(factors) <= 1000
     assert gathers.count(24) <= 2500
 
